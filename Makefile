@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck check bench bench-core bench-diff bench-smoke demo serve-smoke chaos
+.PHONY: build test race vet staticcheck check bench bench-core bench-diff bench-smoke demo serve-smoke chaos perfbench-check
 
 build:
 	$(GO) build ./...
@@ -36,11 +36,20 @@ serve-smoke:
 chaos:
 	CLIO_CHAOS_SEED=1 $(GO) test -race -run 'Chaos|Journal|Budget|Mode|Prob' ./internal/fault ./internal/fd ./internal/workspace ./internal/serve ./internal/csvio ./internal/discovery ./internal/spill ./internal/algebra ./internal/budget
 
+# perfbench-check vets and tests the end-to-end benchmark module. It
+# has its own go.mod, so ./... above skips it; running it here makes
+# drift in the fd and relation APIs it calls fail the gate instead of
+# the next benchmark run. The environment is perfbench/run.sh's offline
+# setting.
+PERFBENCH_ENV = GOFLAGS= GOPROXY=off GOWORK=off GOTOOLCHAIN=local
+perfbench-check:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test ./...
+
 # check is the tier-1 verification gate: vet, staticcheck (when
 # installed), build, tests, race tests, the chaos suite, the serve
-# smoke test, and a one-iteration pass over the execution-core
-# benchmark workloads.
-check: vet staticcheck build test race chaos serve-smoke bench-smoke
+# smoke test, a one-iteration pass over the execution-core benchmark
+# workloads, and the end-to-end benchmark module's own vet and tests.
+check: vet staticcheck build test race chaos serve-smoke bench-smoke perfbench-check
 
 bench:
 	$(GO) run ./cmd/cliobench -quick

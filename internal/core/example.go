@@ -70,9 +70,10 @@ func ExamplesOn(ctx context.Context, m *Mapping, in *relation.Instance, dg *rela
 	if err != nil {
 		return Illustration{}, err
 	}
+	tf := m.transformer()
 	il := Illustration{Mapping: m, Examples: make([]Example, 0, dg.Len())}
 	for i, d := range dg.Tuples() {
-		t := m.Transform(d)
+		t := tf.apply(d)
 		pos := m.SatisfiesSourceFilters(d) && m.SatisfiesTargetFilters(t)
 		il.Examples = append(il.Examples, Example{Assoc: d, Target: t, Positive: pos, Coverage: covs[i]})
 	}

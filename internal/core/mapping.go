@@ -156,14 +156,38 @@ func (m *Mapping) DG(ctx context.Context, in *relation.Instance) (*relation.Rela
 // yielding a target tuple (attributes without a correspondence are
 // null). This is Q_φ(M)(d): the transformation without filters.
 func (m *Mapping) Transform(d relation.Tuple) relation.Tuple {
+	return m.transformer().apply(d)
+}
+
+// transformer is Transform with the target scheme built and each
+// correspondence's target position resolved once, for callers that
+// transform a whole D(G). Not safe for concurrent use.
+type transformer struct {
+	corrs []Correspondence
+	ts    *relation.Scheme
+	pos   []int
+	vals  []value.Value
+}
+
+func (m *Mapping) transformer() *transformer {
 	ts := m.TargetScheme()
-	vals := make([]value.Value, ts.Arity())
-	for _, c := range m.Corrs {
-		if i := ts.Index(c.Target.String()); i >= 0 {
-			vals[i] = c.Apply(d)
+	pos := make([]int, len(m.Corrs))
+	for i, c := range m.Corrs {
+		pos[i] = ts.Index(c.Target.String())
+	}
+	return &transformer{corrs: m.Corrs, ts: ts, pos: pos, vals: make([]value.Value, ts.Arity())}
+}
+
+// apply transforms one data association (see Transform).
+func (tf *transformer) apply(d relation.Tuple) relation.Tuple {
+	clear(tf.vals)
+	for i, c := range tf.corrs {
+		if p := tf.pos[i]; p >= 0 {
+			tf.vals[p] = c.Apply(d)
 		}
 	}
-	return relation.NewTuple(ts, vals...)
+	// NewTuple copies, so the scratch values are free for the next call.
+	return relation.NewTuple(tf.ts, tf.vals...)
 }
 
 // SatisfiesSourceFilters reports whether d satisfies every C_S
@@ -201,12 +225,13 @@ func (m *Mapping) Evaluate(in *relation.Instance) (*relation.Relation, error) {
 
 // EvaluateOn runs the mapping query over an already-computed D(G).
 func (m *Mapping) EvaluateOn(dg *relation.Relation) *relation.Relation {
-	out := relation.New(m.Target.Name, m.TargetScheme())
+	tf := m.transformer()
+	out := relation.New(m.Target.Name, tf.ts)
 	for _, d := range dg.Tuples() {
 		if !m.SatisfiesSourceFilters(d) {
 			continue
 		}
-		t := m.Transform(d)
+		t := tf.apply(d)
 		if !m.SatisfiesTargetFilters(t) {
 			continue
 		}

@@ -274,12 +274,13 @@ func (m *Mapping) EvaluateViaLeftJoins(root string, in *relation.Instance) (*rel
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(m.Target.Name, m.TargetScheme())
+	tf := m.transformer()
+	out := relation.New(m.Target.Name, tf.ts)
 	for _, d := range joined.Tuples() {
 		if !m.SatisfiesSourceFilters(d) {
 			continue
 		}
-		t := m.Transform(d)
+		t := tf.apply(d)
 		if !m.SatisfiesTargetFilters(t) {
 			continue
 		}

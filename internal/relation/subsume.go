@@ -1,6 +1,9 @@
 package relation
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // SubsumeSet maintains the subsumption-maximal tuples of a multiset of
 // equal-scheme tuples under single-tuple inserts and deletes. It is the
@@ -13,32 +16,60 @@ import "sort"
 // mask is a strict superset of u's, matching u on u's non-null
 // positions. Each group keeps a hash index on its own positions plus
 // lazily built (then incrementally maintained) indexes on subset-mask
-// positions, so one insert or delete touches O(groups + matches)
-// tuples, not O(n).
+// positions, so classifying or deleting one tuple touches
+// O(groups + matches) tuples, not O(n).
+//
+// Classification is lazy. Insert only registers the tuple; maximal
+// flags are computed for the tuples inserted since the last
+// classification when Rel, Delete or InsertPruning next needs them
+// (see classify). Only the arrivals found maximal demote what they
+// subsume — an arrival that is itself subsumed cannot demote anything
+// its subsumer does not already demote (transitivity) — and arrivals
+// are probed only against tuples classified before them. So building
+// a set from scratch costs one demotion pass per maximal tuple and no
+// probes, while a delta edit still classifies just its own arrivals.
+//
+// The canonical order covers only the maximal front. A tuple's key is
+// rendered when it first becomes maximal, tuples that became maximal
+// since the last Rel are sorted among themselves, and Rel merges them
+// into the ordered front in one linear pass — a delta-maintained set
+// never re-sorts, and the subsumed majority of a D(G) never renders a
+// key.
 //
 // Duplicates are collapsed into per-tuple counts, which keeps maximal
 // membership well defined for multisets: a tuple stays present until
 // its count reaches zero.
+//
+// A SubsumeSet is not safe for concurrent use; Rel mutates it too.
 type SubsumeSet struct {
 	scheme *Scheme
 	groups map[string]*ssGroup
-	// live holds every live entry ordered by canonical key (keys are
-	// injective over tuples, so the order is total and stable). Kept
-	// sorted incrementally — one binary search plus a pointer memmove
-	// per insert or delete — so Rel() renders with a linear walk
-	// instead of re-sorting the whole front on every refresh.
-	live []*ssEntry
+	// n counts distinct live tuples (any count).
+	n int
 	// liveNonNull counts live distinct tuples with at least one
 	// non-null attribute. The all-null tuple is maximal exactly when
 	// this is zero (the batch algorithm's "drop the all-null group
 	// whenever any other group exists" rule).
 	liveNonNull int
+	// pending holds the entries inserted since the last
+	// classification; their maximal flags are not yet computed.
+	pending []*ssEntry
+	// front holds the maximal front in canonical key order as of the
+	// last Rel. Entries demoted or removed since stay until the next
+	// Rel drops them.
+	front []*ssEntry
+	// entering holds maximal entries not yet merged into front, in no
+	// particular order.
+	entering []*ssEntry
 }
 
 // ssGroup holds the live tuples sharing one null mask.
 type ssGroup struct {
 	mask      Mask
 	positions []int
+	// n counts the group's live entries, unclassified the ones among
+	// them still pending classification.
+	n, unclassified int
 	// entries indexes live tuples by full-tuple hash (bucket+confirm,
 	// same discipline as Distinct).
 	entries map[uint64][]*ssEntry
@@ -46,9 +77,11 @@ type ssGroup struct {
 	// subset mask's positions — the probe target when a narrower tuple
 	// asks "does anything here subsume me?". Built lazily per subset
 	// mask, then kept fresh by every add/remove. The group's own
-	// positions are one such index (its own mask key), used when a
-	// wider tuple demotes or re-checks the tuples it subsumes.
+	// positions are one such index (its own mask key, also held in
+	// own), used when a wider tuple demotes or re-checks the tuples it
+	// subsumes.
 	sub map[string]*ssSubIndex
+	own *ssSubIndex
 }
 
 // ssSubIndex is one lazily built projection index of a group.
@@ -57,16 +90,23 @@ type ssSubIndex struct {
 	buckets   map[uint64][]*ssEntry
 }
 
-// ssEntry is one distinct live tuple with its multiset count. The
-// canonical key is rendered once at entry creation and cached: entries
+// ssEntry is one distinct tuple with its multiset count. Entries
 // persist across refreshes of a delta-maintained materialization, so
-// Rel() pays sort comparisons only — re-rendering ~|D(G)| keys on
-// every refresh would dominate the O(delta) maintenance cost.
+// the canonical key, rendered once when the entry first joins the
+// maximal front, is cached for every later merge.
 type ssEntry struct {
-	t       Tuple
-	key     string
-	count   int
+	t     Tuple
+	g     *ssGroup
+	key   string
+	count int
+	// maximal is valid once the entry has left pending. A removed
+	// entry is never maximal.
 	maximal bool
+	// inFront reports membership in SubsumeSet.front; slot is the
+	// entry's index in SubsumeSet.entering, or -1. An entry is in at
+	// most one of the two.
+	inFront bool
+	slot    int
 }
 
 // NewSubsumeSet creates an empty set over the scheme.
@@ -75,14 +115,13 @@ func NewSubsumeSet(s *Scheme) *SubsumeSet {
 }
 
 // Len returns the number of distinct live tuples (any count).
-func (s *SubsumeSet) Len() int {
-	n := 0
-	for _, g := range s.groups {
-		for _, es := range g.entries {
-			n += len(es)
-		}
-	}
-	return n
+func (s *SubsumeSet) Len() int { return s.n }
+
+// groupOf returns the group of t's null mask, or nil. The key renders
+// into a stack buffer, so the lookup allocates nothing.
+func (s *SubsumeSet) groupOf(t Tuple) *ssGroup {
+	var buf [64]byte
+	return s.groups[string(t.appendNonNullKey(buf[:0]))]
 }
 
 func (s *SubsumeSet) group(m Mask) *ssGroup {
@@ -95,7 +134,8 @@ func (s *SubsumeSet) group(m Mask) *ssGroup {
 			entries:   map[uint64][]*ssEntry{},
 			sub:       map[string]*ssSubIndex{},
 		}
-		g.sub[k] = &ssSubIndex{positions: g.positions, buckets: map[uint64][]*ssEntry{}}
+		g.own = &ssSubIndex{positions: g.positions, buckets: map[uint64][]*ssEntry{}}
+		g.sub[k] = g.own
 		s.groups[k] = g
 	}
 	return g
@@ -114,6 +154,7 @@ func (g *ssGroup) find(h uint64, t Tuple) *ssEntry {
 // add registers a new entry in the group's hash index and every
 // existing projection index.
 func (g *ssGroup) add(h uint64, e *ssEntry) {
+	g.n++
 	g.entries[h] = append(g.entries[h], e)
 	for _, ix := range g.sub {
 		ph := e.t.HashOn(ix.positions)
@@ -124,6 +165,7 @@ func (g *ssGroup) add(h uint64, e *ssEntry) {
 // remove unregisters an entry from the hash index and every projection
 // index.
 func (g *ssGroup) remove(h uint64, e *ssEntry) {
+	g.n--
 	g.entries[h] = removeEntry(g.entries[h], e)
 	if len(g.entries[h]) == 0 {
 		delete(g.entries, h)
@@ -137,20 +179,90 @@ func (g *ssGroup) remove(h uint64, e *ssEntry) {
 	}
 }
 
-// insertLive splices e into the key-ordered live slice.
-func (s *SubsumeSet) insertLive(e *ssEntry) {
-	i := sort.Search(len(s.live), func(i int) bool { return s.live[i].key >= e.key })
-	s.live = append(s.live, nil)
-	copy(s.live[i+1:], s.live[i:])
-	s.live[i] = e
+// add registers a new live entry for t (hash h) in group g. Its
+// maximal flag is left for the caller to set or classify.
+func (s *SubsumeSet) add(g *ssGroup, h uint64, t Tuple) *ssEntry {
+	e := &ssEntry{t: t, g: g, count: 1, slot: -1}
+	g.add(h, e)
+	s.n++
+	if len(g.positions) > 0 {
+		s.liveNonNull++
+	}
+	return e
 }
 
-// removeLive drops e from the key-ordered live slice.
-func (s *SubsumeSet) removeLive(e *ssEntry) {
-	i := sort.Search(len(s.live), func(i int) bool { return s.live[i].key >= e.key })
-	if i < len(s.live) && s.live[i] == e {
-		s.live = append(s.live[:i], s.live[i+1:]...)
+// drop unregisters a live entry whose count reached zero (or that an
+// arrival evicted).
+func (s *SubsumeSet) drop(h uint64, e *ssEntry) {
+	e.g.remove(h, e)
+	s.n--
+	if len(e.g.positions) > 0 {
+		s.liveNonNull--
 	}
+	e.count = 0
+	e.maximal = false
+	if e.slot >= 0 {
+		// Swap-remove, so an evicted entry is not kept reachable until
+		// the next Rel.
+		last := s.entering[len(s.entering)-1]
+		s.entering[e.slot] = last
+		last.slot = e.slot
+		s.entering[len(s.entering)-1] = nil
+		s.entering = s.entering[:len(s.entering)-1]
+		e.slot = -1
+	}
+}
+
+// enter queues a maximal entry for the front unless it is there (or
+// queued) already.
+func (s *SubsumeSet) enter(e *ssEntry) {
+	if !e.inFront && e.slot < 0 {
+		e.slot = len(s.entering)
+		s.entering = append(s.entering, e)
+	}
+}
+
+// classify computes the maximal flags of the pending entries. Every
+// pending entry starts out maximal; each one still maximal at its turn
+// probes the groups holding previously classified entries and, if
+// nothing there subsumes it, stays maximal and demotes everything it
+// strictly subsumes. That yields exactly the flags of eager insertion:
+// any tuple with a strict subsumer has a maximal one (the strict order
+// is finite), which is either pending — and demotes it — or was
+// classified before, in a group the probe visits. So groups holding
+// only pending entries are never probed, and building a set from
+// scratch probes nothing. Visiting wider null masks first (a strict
+// subsumer's mask is strictly wider) demotes most subsumed entries
+// before their turn, so they skip both the probe and the demotion
+// pass.
+func (s *SubsumeSet) classify() {
+	if len(s.pending) == 0 {
+		return
+	}
+	slices.SortFunc(s.pending, func(a, b *ssEntry) int {
+		return len(b.g.positions) - len(a.g.positions)
+	})
+	for _, e := range s.pending {
+		e.maximal = true
+	}
+	for _, e := range s.pending {
+		if !e.maximal {
+			continue
+		}
+		if s.subsumedBy(e.g, e.t) {
+			e.maximal = false
+			continue
+		}
+		s.enter(e)
+		s.eachSubsumed(e.g, e.t, func(_ *ssGroup, sub *ssEntry) {
+			sub.maximal = false
+		})
+	}
+	for _, e := range s.pending {
+		e.g.unclassified = 0
+	}
+	clear(s.pending)
+	s.pending = s.pending[:0]
 }
 
 func removeEntry(es []*ssEntry, e *ssEntry) []*ssEntry {
@@ -184,13 +296,15 @@ func (g *ssGroup) index(m Mask, positions []int) *ssSubIndex {
 // subsumedBy reports whether any live tuple strictly subsumes t, whose
 // group is g. This predicate depends only on the live multiset, never
 // on current maximal flags, which is what makes delete-time promotion
-// order-independent.
+// order-independent. Groups holding only unclassified entries are not
+// probed: classify reaches their subsumers by demotion instead (and
+// outside classify no entry is unclassified).
 func (s *SubsumeSet) subsumedBy(g *ssGroup, t Tuple) bool {
 	if len(g.positions) == 0 {
 		return s.liveNonNull > 0
 	}
 	for _, h := range s.groups {
-		if h == g || !h.mask.SupersetOf(g.mask) || h.mask.Equal(g.mask) {
+		if h == g || h.n == h.unclassified || !h.mask.SupersetOf(g.mask) || h.mask.Equal(g.mask) {
 			continue
 		}
 		ix := h.index(g.mask, g.positions)
@@ -211,8 +325,7 @@ func (s *SubsumeSet) eachSubsumed(g *ssGroup, t Tuple, visit func(h *ssGroup, e 
 		if h == g || !g.mask.SupersetOf(h.mask) || g.mask.Equal(h.mask) {
 			continue
 		}
-		ix := h.sub[h.mask.Key()]
-		for _, e := range ix.buckets[t.HashOn(h.positions)] {
+		for _, e := range h.own.buckets[t.HashOn(h.positions)] {
 			if e.t.EqualOn(t, h.positions, h.positions) {
 				visit(h, e)
 			}
@@ -220,30 +333,20 @@ func (s *SubsumeSet) eachSubsumed(g *ssGroup, t Tuple, visit func(h *ssGroup, e 
 	}
 }
 
-// Insert adds one occurrence of t to the multiset.
+// Insert adds one occurrence of t to the multiset. A new tuple is only
+// registered; its maximal flag is classified when next needed.
 func (s *SubsumeSet) Insert(t Tuple) {
-	g := s.group(t.NonNullMask())
+	g := s.groupOf(t)
+	if g == nil {
+		g = s.group(t.NonNullMask())
+	}
 	h := t.Hash64()
 	if e := g.find(h, t); e != nil {
 		e.count++
 		return
 	}
-	e := &ssEntry{t: t, key: t.Key(), count: 1}
-	g.add(h, e)
-	s.insertLive(e)
-	if len(g.positions) > 0 {
-		s.liveNonNull++
-	}
-	e.maximal = !s.subsumedBy(g, t)
-	if !e.maximal {
-		return
-	}
-	// A new maximal tuple demotes everything it strictly subsumes
-	// (including the all-null entry, whose empty mask every non-empty
-	// mask strictly contains).
-	s.eachSubsumed(g, t, func(_ *ssGroup, sub *ssEntry) {
-		sub.maximal = false
-	})
+	g.unclassified++
+	s.pending = append(s.pending, s.add(g, h, t))
 }
 
 // InsertPruning adds one occurrence of t in insert-only accumulation
@@ -263,7 +366,11 @@ func (s *SubsumeSet) Insert(t Tuple) {
 // InsertPruning must not be mixed with Delete-based maintenance
 // (delta maintenance keeps using Insert/Delete).
 func (s *SubsumeSet) InsertPruning(t Tuple) (displaced []Tuple, inserted bool) {
-	g := s.group(t.NonNullMask())
+	s.classify()
+	g := s.groupOf(t)
+	if g == nil {
+		g = s.group(t.NonNullMask())
+	}
 	h := t.Hash64()
 	if e := g.find(h, t); e != nil {
 		e.count++
@@ -272,26 +379,17 @@ func (s *SubsumeSet) InsertPruning(t Tuple) (displaced []Tuple, inserted bool) {
 	if s.subsumedBy(g, t) {
 		return nil, false
 	}
-	e := &ssEntry{t: t, key: t.Key(), count: 1, maximal: true}
-	g.add(h, e)
-	s.insertLive(e)
-	if len(g.positions) > 0 {
-		s.liveNonNull++
-	}
+	e := s.add(g, h, t)
+	e.maximal = true
+	s.enter(e)
 	// Collect first, then remove: eachSubsumed iterates the very
 	// buckets removal mutates.
 	var victims []*ssEntry
-	var homes []*ssGroup
-	s.eachSubsumed(g, t, func(h *ssGroup, sub *ssEntry) {
+	s.eachSubsumed(g, t, func(_ *ssGroup, sub *ssEntry) {
 		victims = append(victims, sub)
-		homes = append(homes, h)
 	})
-	for i, v := range victims {
-		homes[i].remove(v.t.Hash64(), v)
-		s.removeLive(v)
-		if len(homes[i].positions) > 0 {
-			s.liveNonNull--
-		}
+	for _, v := range victims {
+		s.drop(v.t.Hash64(), v)
 		displaced = append(displaced, v.t)
 	}
 	return displaced, true
@@ -301,7 +399,7 @@ func (s *SubsumeSet) InsertPruning(t Tuple) (displaced []Tuple, inserted bool) {
 // inconsistency (tuple not present) via the return value so callers can
 // fall back to a rebuild rather than silently diverge.
 func (s *SubsumeSet) Delete(t Tuple) bool {
-	g := s.groups[t.NonNullMask().Key()]
+	g := s.groupOf(t)
 	if g == nil {
 		return false
 	}
@@ -310,16 +408,14 @@ func (s *SubsumeSet) Delete(t Tuple) bool {
 	if e == nil {
 		return false
 	}
-	e.count--
-	if e.count > 0 {
+	if e.count > 1 {
+		e.count--
 		return true
 	}
-	g.remove(h, e)
-	s.removeLive(e)
-	if len(g.positions) > 0 {
-		s.liveNonNull--
-	}
-	if !e.maximal {
+	s.classify()
+	wasMaximal := e.maximal
+	s.drop(h, e)
+	if !wasMaximal {
 		return true
 	}
 	// t was maximal: each tuple it strictly subsumed is promoted iff no
@@ -329,23 +425,55 @@ func (s *SubsumeSet) Delete(t Tuple) bool {
 	s.eachSubsumed(g, t, func(h *ssGroup, sub *ssEntry) {
 		if !sub.maximal && !s.subsumedBy(h, sub.t) {
 			sub.maximal = true
+			s.enter(sub)
 		}
 	})
 	return true
 }
 
 // Rel materializes the current maximal tuples as a relation sorted by
-// canonical tuple key. The live slice is maintained in key order, so a
-// refresh is one linear walk — no sort, no key rendering. The order
-// makes the result independent of maintenance history: a
-// delta-maintained set, a freshly rebuilt set, and a replayed session
-// all render byte-identical relations.
+// canonical tuple key. It classifies pending tuples, sorts the tuples
+// that became maximal since the last call, and merges them into the
+// ordered front while dropping entries no longer maximal — one linear
+// pass over the front plus a sort of the newcomers. The order makes
+// the result independent of maintenance history: a delta-maintained
+// set, a freshly rebuilt set, and a replayed session all render
+// byte-identical relations.
 func (s *SubsumeSet) Rel(name string) *Relation {
-	out := New(name, s.scheme)
-	for _, e := range s.live {
+	s.classify()
+	in := s.entering[:0]
+	for _, e := range s.entering {
+		e.slot = -1
 		if e.maximal {
-			out.Add(e.t)
+			if e.key == "" {
+				e.key = e.t.Key()
+			}
+			e.inFront = true
+			in = append(in, e)
 		}
+	}
+	sort.Slice(in, func(i, j int) bool { return in[i].key < in[j].key })
+	front := make([]*ssEntry, 0, len(s.front)+len(in))
+	i := 0
+	for _, e := range s.front {
+		if !e.maximal {
+			e.inFront = false
+			continue
+		}
+		for ; i < len(in) && in[i].key < e.key; i++ {
+			front = append(front, in[i])
+		}
+		front = append(front, e)
+	}
+	front = append(front, in[i:]...)
+	clear(s.entering)
+	s.entering = s.entering[:0]
+	s.front = front
+
+	out := New(name, s.scheme)
+	out.tuples = make([]Tuple, 0, len(front))
+	for _, e := range front {
+		out.Add(e.t)
 	}
 	return out
 }

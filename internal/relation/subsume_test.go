@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"clio/internal/value"
@@ -195,5 +196,121 @@ func TestSubsumeSetInsertPruningPaths(t *testing.T) {
 	front := set.Rel("r")
 	if front.Len() != 1 || !front.Tuples()[0].Equal(complete) {
 		t.Fatalf("front = %v, want just %v", front.Tuples(), complete)
+	}
+}
+
+// requireFront asserts that set renders exactly RemoveSubsumed over the
+// distinct live multiset, in canonical key order, and that Len counts
+// the distinct live tuples.
+func requireFront(t *testing.T, set *SubsumeSet, s *Scheme, live []Tuple, where string) {
+	t.Helper()
+	distinct := FromTuples("live", s, live).Distinct()
+	want := RemoveSubsumed(distinct).Sorted()
+	got := set.Rel("live")
+	if got.String() != want.String() {
+		t.Fatalf("%s: front differs from RemoveSubsumed(Distinct(multiset))\nlive: %v\ngot:\n%v\nwant:\n%v",
+			where, live, got, want)
+	}
+	if set.Len() != distinct.Len() {
+		t.Fatalf("%s: Len() = %d, want %d distinct live tuples", where, set.Len(), distinct.Len())
+	}
+}
+
+// Differential property for lazy classification: random interleavings
+// of Insert, Delete and Rel — where many inserts stay unclassified
+// between Rel calls, deletes hit entries no Rel has classified yet,
+// tuples repeat, the all-null tuple comes and goes, and three-attribute
+// masks form demote/promote chains — always render RemoveSubsumed over
+// the surviving multiset, byte for byte.
+func TestSubsumeSetLazyInterleavingsMatchBatch(t *testing.T) {
+	s := NewScheme("a", "b", "c")
+	allNull := AllNull(s)
+	rng := rand.New(rand.NewSource(2718))
+	var unclassifiedDeletes, allNullInserts, dupInserts int
+	for trial := 0; trial < 200; trial++ {
+		set := NewSubsumeSet(s)
+		var live []Tuple
+		steps := 5 + rng.Intn(40)
+		for step := 0; step < steps; step++ {
+			switch op := rng.Intn(10); {
+			case op < 2 && len(live) > 0:
+				i := rng.Intn(len(live))
+				tp := live[i]
+				if e := set.groupOf(tp).find(tp.Hash64(), tp); e != nil && slices.Contains(set.pending, e) {
+					unclassifiedDeletes++
+				}
+				live = append(live[:i], live[i+1:]...)
+				if !set.Delete(tp) {
+					t.Fatalf("trial %d step %d: delete of live tuple %v refused", trial, step, tp)
+				}
+			case op < 4:
+				requireFront(t, set, s, live, fmt.Sprintf("trial %d step %d", trial, step))
+			default:
+				var tp Tuple
+				switch {
+				case rng.Intn(8) == 0:
+					tp = allNull
+					allNullInserts++
+				case len(live) > 0 && rng.Intn(4) == 0:
+					tp = live[rng.Intn(len(live))]
+					dupInserts++
+				default:
+					tp = randomNullableTuple(rng, s, 0.4)
+				}
+				live = append(live, tp)
+				set.Insert(tp)
+			}
+		}
+		requireFront(t, set, s, live, fmt.Sprintf("trial %d end", trial))
+	}
+	if unclassifiedDeletes == 0 || allNullInserts == 0 || dupInserts == 0 {
+		t.Fatalf("vacuous run: %d unclassified deletes, %d all-null inserts, %d duplicate inserts",
+			unclassifiedDeletes, allNullInserts, dupInserts)
+	}
+}
+
+// A subsumption chain across four masks, built without any Rel in
+// between so every entry is unclassified when the first delete lands:
+// deleting from the top promotes each next tuple in turn, down to the
+// all-null tuple; reinserting the top demotes the whole chain again.
+func TestSubsumeSetChainPromotesAcrossMasks(t *testing.T) {
+	s := NewScheme("a", "b", "c")
+	i := func(n int64) value.Value { return value.Int(n) }
+	chain := []Tuple{
+		AllNull(s),
+		NewTuple(s, i(1), value.Null, value.Null),
+		NewTuple(s, i(1), i(2), value.Null),
+		NewTuple(s, i(1), i(2), i(3)),
+	}
+	set := NewSubsumeSet(s)
+	var live []Tuple
+	insert := func(tp Tuple) {
+		set.Insert(tp)
+		live = append(live, tp)
+	}
+	remove := func(tp Tuple) {
+		t.Helper()
+		if !set.Delete(tp) {
+			t.Fatalf("delete of %v refused", tp)
+		}
+		i := slices.IndexFunc(live, tp.Equal)
+		live = slices.Delete(live, i, i+1)
+	}
+	for _, tp := range chain {
+		insert(tp)
+	}
+	// A duplicate of the middle tuple: it stays on top until its second
+	// delete.
+	insert(chain[2])
+	top := chain[len(chain)-1]
+	for _, tp := range []Tuple{chain[3], chain[2], chain[2], chain[1], chain[0]} {
+		remove(tp)
+		requireFront(t, set, s, live, fmt.Sprintf("after deleting %v", tp))
+		insert(top)
+		requireFront(t, set, s, live, fmt.Sprintf("after reinserting the top over %d tuples", len(live)))
+		remove(top)
+	}
+	if set.Len() != 0 {
+		t.Fatalf("emptied set has Len %d", set.Len())
 	}
 }

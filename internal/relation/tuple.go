@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"strings"
 
 	"clio/internal/value"
@@ -87,6 +88,22 @@ func (t Tuple) NonNullMask() Mask {
 		}
 	}
 	return m
+}
+
+// appendNonNullKey appends NonNullMask().Key() to dst without
+// building the mask.
+func (t Tuple) appendNonNullKey(dst []byte) []byte {
+	var w uint64
+	for i, v := range t.vals {
+		if !v.IsNull() {
+			w |= 1 << (uint(i) % 64)
+		}
+		if i%64 == 63 || i == len(t.vals)-1 {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+			w = 0
+		}
+	}
+	return dst
 }
 
 // Equal reports whether two tuples have equal schemes and identical

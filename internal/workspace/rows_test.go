@@ -181,3 +181,38 @@ func TestChaosRowsBudgetAbortRollsBackInstance(t *testing.T) {
 		t.Fatalf("post-recovery view differs from cold rebuild:\n%v\nvs\n%v", view, coldView)
 	}
 }
+
+// Undo restores workspaces from history, whose D(G) caches predate any
+// row edit made since. A restored workspace must not serve its stale
+// cache: the view after undoing past an edit, and after a further
+// edit, must equal a fresh evaluation of the restored mapping.
+func TestUndoPastRowEditRefreshesView(t *testing.T) {
+	ctx := context.Background()
+	tl := mappedTool(t, paperdb.Instance())
+	if err := tl.ApplyRows(ctx, "Children", rowVals("012", "Nina", "8", "100", "101", "d3"), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.Undo(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		view, err := tl.TargetView(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := tl.Active().Mapping.Evaluate(tl.Instance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.String() != fresh.Distinct().String() {
+			t.Fatalf("%s: view has %d rows, fresh evaluation %d\nview:\n%v\nfresh:\n%v",
+				when, view.Len(), fresh.Len(), view, fresh)
+		}
+	}
+	check("after undo")
+	if err := tl.ApplyRows(ctx, "Children", rowVals("013", "Omar", "9", "102", "103", "d1"), false); err != nil {
+		t.Fatal(err)
+	}
+	check("after the next edit")
+}

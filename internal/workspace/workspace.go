@@ -40,11 +40,17 @@ type Workspace struct {
 	// walk/chase steps (fd.ExtendLeaf) and row edits (fd.MaintainRows),
 	// and reused by TargetView.
 	dg *relation.Relation
-	// dgm is the delta-maintainable form of dg (full subsumption state,
-	// not just the maximal front), built lazily on the first row edit
-	// and kept by successful maintenance. Never serialized: a restored
-	// session rebuilds it on its next edit, which renders identically
-	// because Materialized.Rel() is canonical.
+	// dgm is the delta-maintainable form of dg (every padded
+	// association with its multiset count, not just the maximal front),
+	// built on the first row edit and kept by successful maintenance.
+	// The build registers associations without classifying them one by
+	// one and renders canonical keys for the maximal front only, so it
+	// costs the same order as a cold D(G); later edits classify and
+	// merge only their delta. Only the active workspace keeps one: a
+	// row edit drops dg and dgm on every other workspace, undo
+	// snapshots included. Never serialized: a restored session
+	// rebuilds it on its next edit, which renders identically because
+	// Materialized.Rel() is canonical.
 	dgm *fd.Materialized
 }
 
@@ -446,15 +452,22 @@ func (t *Tool) ApplyRows(ctx context.Context, relName string, vals []value.Value
 }
 
 // maintainRowsLocked propagates one already-applied row edit into the
-// active workspace's materialized D(G) and illustration. Non-active
-// workspaces just drop their caches (losing a cache is safe; keeping a
-// stale one is not).
+// active workspace's materialized D(G) and illustration. Every other
+// workspace — current or held by an undo snapshot — just drops its
+// caches (losing a cache is safe; keeping a stale one is not, since
+// Undo can make it active again).
 func (t *Tool) maintainRowsLocked(ctx context.Context, base string, tup relation.Tuple, del bool) error {
 	act := t.activeLocked()
-	for _, w := range t.workspaces {
-		if w != act {
-			w.dg, w.dgm = nil, nil
+	drop := func(ws []*Workspace) {
+		for _, w := range ws {
+			if w != act {
+				w.dg, w.dgm = nil, nil
+			}
 		}
+	}
+	drop(t.workspaces)
+	for _, snap := range t.history {
+		drop(snap.workspaces)
 	}
 	if act == nil || act.Mapping.Graph.NodeCount() == 0 || !fd.GraphReadsBase(act.Mapping.Graph, base) {
 		// Nothing to maintain: no active mapping, or its graph never
