@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck check bench bench-core bench-diff bench-smoke demo serve-smoke chaos perfbench-check
+.PHONY: build test race vet staticcheck check bench bench-core bench-diff bench-smoke gobench-smoke demo serve-smoke chaos perfbench-check
 
 build:
 	$(GO) build ./...
@@ -45,11 +45,18 @@ PERFBENCH_ENV = GOFLAGS= GOPROXY=off GOWORK=off GOTOOLCHAIN=local
 perfbench-check:
 	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./... && $(PERFBENCH_ENV) $(GO) test ./...
 
+# gobench-smoke runs every Go benchmark function (bench_test.go and
+# the internal packages' Benchmark*) exactly once, so they keep
+# compiling and running; timings are not checked.
+gobench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
 # check is the tier-1 verification gate: vet, staticcheck (when
 # installed), build, tests, race tests, the chaos suite, the serve
 # smoke test, a one-iteration pass over the execution-core benchmark
-# workloads, and the end-to-end benchmark module's own vet and tests.
-check: vet staticcheck build test race chaos serve-smoke bench-smoke perfbench-check
+# workloads and over the Go benchmark functions, and the end-to-end
+# benchmark module's own vet and tests.
+check: vet staticcheck build test race chaos serve-smoke bench-smoke gobench-smoke perfbench-check
 
 bench:
 	$(GO) run ./cmd/cliobench -quick

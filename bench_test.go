@@ -234,6 +234,32 @@ func BenchmarkEvolution(b *testing.B) {
 	}
 }
 
+// BenchmarkEvolveOnDGRowEdit times what a row edit costs the
+// illustration: evolving a sufficient illustration onto the D(G)
+// after one insert, over about 3k associations.
+func BenchmarkEvolveOnDGRowEdit(b *testing.B) {
+	ctx := context.Background()
+	c := chainCase(4, 450)
+	il, err := core.SufficientIllustration(ctx, c.Mapping, c.Instance)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r0 := c.Instance.Relation("R0")
+	row := relation.NewTuple(r0.Scheme(), value.Int(1), value.Int(-1))
+	r0.Add(row)
+	dg, _, _, err := fd.MaintainRows(ctx, nil, c.Graph, c.Instance, "R0", row, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.EvolveOnDG(ctx, il, c.Mapping, c.Instance, dg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(dg.Len()), "associations")
+}
+
 func BenchmarkEvolutionRecompute(b *testing.B) {
 	full := chainCase(4, 200)
 	b.ResetTimer()

@@ -272,6 +272,7 @@ var (
 	// NOT NULL constraints.
 	ApplyTargetConstraints = core.ApplyTargetConstraints
 	// CoverageAll computes coverage for every D(G) tuple in one pass.
+	// Tuples with equal coverage share one slice; do not mutate it.
 	CoverageAll = fd.CoverageAll
 )
 

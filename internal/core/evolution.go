@@ -101,28 +101,38 @@ func EvolveOnDG(ctx context.Context, oldIll Illustration, newM *Mapping, in *rel
 		return Evolved{}, err
 	}
 
-	// Index old examples by their data association key; new
-	// associations are matched by projecting onto the old scheme via
-	// precomputed positions (KeyOn produces the same encoding as Key).
-	oldByKey := map[string]int{}
-	for i, e := range oldIll.Examples {
-		oldByKey[e.Assoc.Key()] = i
+	// Match each new association to the old examples by hashing its
+	// projection onto the old scheme against the old associations'
+	// hashes, confirming with value equality. When several old
+	// examples match, the last one wins.
+	byHash := make(map[uint64][]int, len(oldIll.Examples))
+	var oldPos []int
+	for j, e := range oldIll.Examples {
+		h := e.Assoc.Hash64()
+		byHash[h] = append(byHash[h], j)
+		for len(oldPos) < e.Assoc.Arity() {
+			oldPos = append(oldPos, len(oldPos))
+		}
 	}
 	extended := make([]bool, len(oldIll.Examples))
 
 	out := Evolved{Illustration: Illustration{Mapping: newM}, Old: len(oldIll.Examples)}
-	chosen := make([]bool, len(full.Examples))
-	var projPos []int
-	if len(full.Examples) > 0 {
-		projPos = full.Examples[0].Assoc.Scheme().Positions(oldScheme.Names()...)
-	}
-	for i, e := range full.Examples {
-		if j, ok := oldByKey[e.Assoc.KeyOn(projPos)]; ok {
-			extended[j] = true
-			inherited := e
-			inherited.Inherited = true
-			out.Examples = append(out.Examples, inherited)
-			chosen[i] = true
+	var inherited []int
+	if len(oldIll.Examples) > 0 && len(full.Examples) > 0 {
+		projPos := full.Examples[0].Assoc.Scheme().Positions(oldScheme.Names()...)
+		for i, e := range full.Examples {
+			js := byHash[e.Assoc.HashOn(projPos)]
+			for k := len(js) - 1; k >= 0; k-- {
+				j := js[k]
+				old := oldIll.Examples[j].Assoc
+				if e.Assoc.EqualOn(old, projPos, oldPos[:old.Arity()]) {
+					extended[j] = true
+					e.Inherited = true
+					out.Examples = append(out.Examples, e)
+					inherited = append(inherited, i)
+					break
+				}
+			}
 		}
 	}
 	for _, x := range extended {
@@ -133,50 +143,11 @@ func EvolveOnDG(ctx context.Context, oldIll Illustration, newM *Mapping, in *rel
 
 	// Top up to sufficiency with fresh examples: greedy cover over the
 	// requirements not yet covered by the inherited examples.
-	reqs, covers := requirementsOf(newM, full.Examples)
-	covered := map[string]bool{}
-	for i := range full.Examples {
-		if chosen[i] {
-			for _, k := range covers[i] {
-				covered[k] = true
-			}
-		}
+	fresh, _ := greedyCover(newM, full.Examples, inherited)
+	for _, i := range fresh {
+		out.Examples = append(out.Examples, full.Examples[i])
 	}
-	uncovered := 0
-	for k := range reqs {
-		if !covered[k] {
-			uncovered++
-		}
-	}
-	for uncovered > 0 {
-		best, bestGain := -1, 0
-		for i := range full.Examples {
-			if chosen[i] {
-				continue
-			}
-			gain := 0
-			for _, k := range covers[i] {
-				if !covered[k] {
-					gain++
-				}
-			}
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		if best < 0 {
-			break
-		}
-		chosen[best] = true
-		out.Examples = append(out.Examples, full.Examples[best])
-		out.Fresh++
-		for _, k := range covers[best] {
-			if !covered[k] {
-				covered[k] = true
-				uncovered--
-			}
-		}
-	}
+	out.Fresh = len(fresh)
 	cEvolveFresh.Add(int64(out.Fresh))
 	span.SetInt("examples", int64(len(out.Examples)))
 	return out, nil

@@ -30,7 +30,9 @@ type Example struct {
 	Target relation.Tuple
 	// Positive classifies the example against the filters.
 	Positive bool
-	// Coverage is the sorted set of graph nodes d covers.
+	// Coverage is the sorted set of graph nodes d covers. Examples
+	// built by ExamplesOn share one slice per coverage class, so it is
+	// read-only.
 	Coverage []string
 	// Inherited marks examples carried over from a previous
 	// illustration by continuous evolution (Section 5.3); fresh
@@ -80,47 +82,6 @@ func ExamplesOn(ctx context.Context, m *Mapping, in *relation.Instance, dg *rela
 	return il, nil
 }
 
-// Requirement identifiers (see requirementsOf): what a sufficient
-// illustration must demonstrate, per Definitions 4.2, 4.4, and 4.5.
-const (
-	reqGraph       = "G"  // some example with this coverage
-	reqFilterPos   = "F+" // a positive example with this coverage
-	reqFilterNeg   = "F-" // a negative example with this coverage
-	reqCorrNonNull = "V+" // positive example, target attr non-null
-	reqCorrNull    = "V0" // positive example, target attr null
-)
-
-// requirementsOf derives, from the complete example set, the
-// requirement keys a sufficient illustration must cover, and for each
-// example the set of keys it covers. A requirement exists only if some
-// example satisfies it ("if there exists ... then I contains ...").
-func requirementsOf(m *Mapping, all []Example) (reqs map[string]bool, covers [][]string) {
-	reqs = map[string]bool{}
-	covers = make([][]string, len(all))
-	ts := m.TargetScheme()
-	for i, e := range all {
-		ck := e.CoverageKey()
-		ks := []string{reqGraph + "|" + ck}
-		if e.Positive {
-			ks = append(ks, reqFilterPos+"|"+ck)
-			for _, attr := range ts.Names() {
-				if e.Target.Get(attr).IsNull() {
-					ks = append(ks, reqCorrNull+"|"+ck+"|"+attr)
-				} else {
-					ks = append(ks, reqCorrNonNull+"|"+ck+"|"+attr)
-				}
-			}
-		} else {
-			ks = append(ks, reqFilterNeg+"|"+ck)
-		}
-		covers[i] = ks
-		for _, k := range ks {
-			reqs[k] = true
-		}
-	}
-	return reqs, covers
-}
-
 // SufficientIllustration selects a small illustration that is
 // sufficient for the mapping (Definition 4.6): it covers every
 // category of D(G), every filter outcome per category, and every
@@ -145,39 +106,11 @@ func SufficientIllustration(ctx context.Context, m *Mapping, in *relation.Instan
 func SelectSufficient(ctx context.Context, m *Mapping, full Illustration) Illustration {
 	_, span := obs.StartSpan(ctx, "core.select_sufficient")
 	defer span.End()
-	reqs, covers := requirementsOf(m, full.Examples)
-	span.SetInt("requirements", int64(len(reqs)))
-	uncovered := len(reqs)
-	covered := map[string]bool{}
-	chosen := make([]bool, len(full.Examples))
+	picks, reqs := greedyCover(m, full.Examples, nil)
+	span.SetInt("requirements", int64(reqs))
 	out := Illustration{Mapping: m}
-	for uncovered > 0 {
-		best, bestGain := -1, 0
-		for i := range full.Examples {
-			if chosen[i] {
-				continue
-			}
-			gain := 0
-			for _, k := range covers[i] {
-				if !covered[k] {
-					gain++
-				}
-			}
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		if best < 0 {
-			break // unreachable: every requirement is witnessed by construction
-		}
-		chosen[best] = true
-		out.Examples = append(out.Examples, full.Examples[best])
-		for _, k := range covers[best] {
-			if !covered[k] {
-				covered[k] = true
-				uncovered--
-			}
-		}
+	for _, i := range picks {
+		out.Examples = append(out.Examples, full.Examples[i])
 	}
 	span.SetInt("chosen", int64(len(out.Examples)))
 	cExamplesChosen.Add(int64(len(out.Examples)))
@@ -193,22 +126,7 @@ func (il Illustration) MissingRequirements(in *relation.Instance) ([]string, err
 	if err != nil {
 		return nil, err
 	}
-	reqs, _ := requirementsOf(il.Mapping, full.Examples)
-	_, haveCovers := requirementsOf(il.Mapping, il.Examples)
-	covered := map[string]bool{}
-	for _, ks := range haveCovers {
-		for _, k := range ks {
-			covered[k] = true
-		}
-	}
-	var missing []string
-	for k := range reqs {
-		if !covered[k] {
-			missing = append(missing, k)
-		}
-	}
-	sort.Strings(missing)
-	return missing, nil
+	return missingRequirements(il.Mapping, full.Examples, il.Examples), nil
 }
 
 // IsSufficient reports whether the illustration is sufficient for its

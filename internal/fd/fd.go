@@ -20,6 +20,7 @@ package fd
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -622,23 +623,17 @@ func computeUncached(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 // coverage joined with "+" — the categories D(G, J) of Section 4.2.
 // Tuple order within a category follows relation order.
 func Partition(d *relation.Relation, g *graph.QueryGraph, in *relation.Instance) (map[string][]relation.Tuple, error) {
-	blocks, err := nodeBlocks(g, in, d.Scheme())
+	ids, classes, err := coverageClasses(d, g, in)
 	if err != nil {
 		return nil, err
 	}
+	keys := make([]string, len(classes))
+	for i, c := range classes {
+		keys[i] = strings.Join(c, "+")
+	}
 	out := map[string][]relation.Tuple{}
-	for _, t := range d.Tuples() {
-		var cov []string
-		for _, name := range g.Nodes() {
-			for _, p := range blocks[name] {
-				if !t.At(p).IsNull() {
-					cov = append(cov, name)
-					break
-				}
-			}
-		}
-		sort.Strings(cov)
-		k := strings.Join(cov, "+")
+	for i, t := range d.Tuples() {
+		k := keys[ids[i]]
 		out[k] = append(out[k], t)
 	}
 	return out, nil
@@ -654,26 +649,70 @@ func CoverageKey(nodes []string) string {
 // CoverageAll computes the coverage of every tuple of a D(G) relation
 // in one pass, resolving the node attribute blocks once. Equivalent to
 // calling Coverage per tuple, but O(nodes) setup instead of per-tuple.
+// Tuples of one coverage class share one node slice (see
+// coverageClasses), so callers must not mutate the returned slices.
 func CoverageAll(d *relation.Relation, g *graph.QueryGraph, in *relation.Instance) ([][]string, error) {
-	blocks, err := nodeBlocks(g, in, d.Scheme())
+	ids, classes, err := coverageClasses(d, g, in)
 	if err != nil {
 		return nil, err
 	}
+	out := make([][]string, len(ids))
+	for i, id := range ids {
+		out[i] = classes[id]
+	}
+	return out, nil
+}
+
+// coverageClasses resolves every tuple of a D(G) relation to its
+// coverage class: classes[ids[i]] is the sorted node set tuple i
+// covers (nil when it covers none). Each row is reduced to a node
+// bitmask and interned, so the node list of a class is built and
+// sorted once, not once per row; classes are numbered in order of
+// first appearance. The class slices are shared and must not be
+// mutated.
+func coverageClasses(d *relation.Relation, g *graph.QueryGraph, in *relation.Instance) (ids []int32, classes [][]string, err error) {
+	blocks, err := nodeBlocks(g, in, d.Scheme())
+	if err != nil {
+		return nil, nil, err
+	}
 	nodes := g.Nodes()
-	out := make([][]string, d.Len())
+	nodePos := make([][]int, len(nodes))
+	for i, name := range nodes {
+		nodePos[i] = blocks[name]
+	}
+	words := make([]uint64, (len(nodes)+63)/64)
+	var key []byte
+	index := map[string]int32{}
+	ids = make([]int32, d.Len())
 	for i := 0; i < d.Len(); i++ {
 		t := d.At(i)
-		var cov []string
-		for _, name := range nodes {
-			for _, p := range blocks[name] {
+		clear(words)
+		for n, pos := range nodePos {
+			for _, p := range pos {
 				if !t.At(p).IsNull() {
-					cov = append(cov, name)
+					words[n/64] |= 1 << (uint(n) % 64)
 					break
 				}
 			}
 		}
-		sort.Strings(cov)
-		out[i] = cov
+		key = key[:0]
+		for _, w := range words {
+			key = binary.LittleEndian.AppendUint64(key, w)
+		}
+		id, ok := index[string(key)]
+		if !ok {
+			id = int32(len(classes))
+			index[string(key)] = id
+			var cov []string
+			for n, name := range nodes {
+				if words[n/64]&(1<<(uint(n)%64)) != 0 {
+					cov = append(cov, name)
+				}
+			}
+			sort.Strings(cov)
+			classes = append(classes, cov)
+		}
+		ids[i] = id
 	}
-	return out, nil
+	return ids, classes, nil
 }

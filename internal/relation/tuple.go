@@ -45,6 +45,9 @@ func AllNull(s *Scheme) Tuple {
 // Scheme returns the tuple's scheme.
 func (t Tuple) Scheme() *Scheme { return t.scheme }
 
+// Arity returns the number of values (0 for the zero Tuple).
+func (t Tuple) Arity() int { return len(t.vals) }
+
 // At returns the value at position i.
 func (t Tuple) At(i int) value.Value { return t.vals[i] }
 

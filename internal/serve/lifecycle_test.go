@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -389,4 +390,77 @@ func TestSessionRateLimitIsolation(t *testing.T) {
 	// The calm session's bucket is full: its one request sails through
 	// even immediately after the noisy session saturated its own.
 	mustCall(t, ts, "GET", "/api/sessions/"+calm+"/status", nil)
+}
+
+// Undoing past a row edit refreshes the reactivated workspace's
+// illustration, and that refresh is session state like any other: the
+// live session, its journal replay after a kill -9, and a session
+// resurrected from a snapshot taken between the edit and the undo all
+// show the same illustration, view, and op log.
+func TestUndoPastRowEditReplayedResurrected(t *testing.T) {
+	drive := func(ts *httptest.Server, id string) {
+		mustCall(t, ts, "POST", "/api/sessions/"+id+"/corr",
+			map[string]any{"spec": "Children.ID -> Kids.ID"})
+		mustCall(t, ts, "POST", "/api/sessions/"+id+"/walk",
+			map[string]any{"from": "Children", "to": "PhoneDir"})
+		mustCall(t, ts, "POST", "/api/sessions/"+id+"/walk",
+			map[string]any{"from": "Children", "to": "Parents"})
+		mustCall(t, ts, "POST", "/api/sessions/"+id+"/rows",
+			map[string]any{"relation": "Children", "values": []string{"001", "Ann", "9", "100", "101", "d1"}, "delete": true})
+		mustCall(t, ts, "POST", "/api/sessions/"+id+"/undo", nil)
+	}
+	fingerprint := func(s *Server, ts *httptest.Server, id string) map[string]any {
+		fp := sessionFingerprint(t, s, ts, id)
+		fp["illustration"] = mustCall(t, ts, "GET", "/api/sessions/"+id+"/illustration", nil)["text"]
+		return fp
+	}
+	compare := func(what string, got, want map[string]any) {
+		t.Helper()
+		for _, key := range []string{"oplog", "view", "status", "illustration"} {
+			if got[key] != want[key] {
+				t.Errorf("%s differs in %s:\n--- want\n%v\n--- got\n%v", what, key, want[key], got[key])
+			}
+		}
+	}
+
+	// Journal replay of the plain op records.
+	cfg := Config{JournalDir: t.TempDir()}
+	s1 := New(cfg)
+	ts1 := httptest.NewServer(s1.Handler())
+	id := newPaperSession(t, ts1)
+	drive(ts1, id)
+	want := fingerprint(s1, ts1, id)
+	if txt, _ := want["illustration"].(string); strings.Contains(txt, "Children.ID:001") {
+		t.Fatalf("live illustration still shows deleted row 001:\n%s", txt)
+	}
+	ts1.Close()
+	s2 := New(cfg)
+	ts2 := httptest.NewServer(s2.Handler())
+	compare("journal replay", fingerprint(s2, ts2, id), want)
+	ts2.Close()
+
+	// Snapshot after the edit (the fourth op), kill -9: the restart
+	// restores the snapshot, whose history carries the dropped D(G),
+	// and replays the undo. Then idle expiry and resurrect.
+	cfg = Config{JournalDir: t.TempDir(), IdleTTL: time.Hour, SnapshotEvery: 4}
+	s3 := New(cfg)
+	ts3 := httptest.NewServer(s3.Handler())
+	id = newPaperSession(t, ts3)
+	drive(ts3, id)
+	compare("live with snapshots", fingerprint(s3, ts3, id), want)
+	if _, kinds := countKinds(t, cfg.JournalDir, id); kinds["snapshot"] != 1 || kinds["op"] != 1 {
+		t.Fatalf("journal kinds %v, want one snapshot then the undo op", kinds)
+	}
+	ts3.Close()
+	s4 := New(cfg)
+	ts4 := httptest.NewServer(s4.Handler())
+	defer func() {
+		ts4.Close()
+		s4.Shutdown(context.Background())
+	}()
+	compare("replay from snapshot", fingerprint(s4, ts4, id), want)
+	backdate(t, s4, id, 2*time.Hour)
+	s4.reapIdle(time.Now())
+	mustCall(t, ts4, "POST", "/api/sessions/"+id+"/resurrect", nil)
+	compare("resurrected", fingerprint(s4, ts4, id), want)
 }

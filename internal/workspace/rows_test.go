@@ -2,10 +2,12 @@ package workspace
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 
 	"clio/internal/core"
+	"clio/internal/expr"
 	"clio/internal/fault"
 	"clio/internal/fd"
 	"clio/internal/obs"
@@ -215,4 +217,235 @@ func TestUndoPastRowEditRefreshesView(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after the next edit")
+}
+
+// undoPastDelete runs the op sequence that used to leave a stale
+// illustration: walk on from the mapped tool, delete Children row 001
+// (dropping the pre-walk workspace's D(G) in the undo history), undo.
+func undoPastDelete(t *testing.T, tl *Tool) {
+	t.Helper()
+	ctx := context.Background()
+	if err := tl.Walk(ctx, "Children", "Parents"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.ApplyRows(ctx, "Children", rowVals("001", "Ann", "9", "100", "101", "d1"), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.Undo(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Undoing past a row edit reactivates a workspace whose illustration
+// predates the edit. Activation must bring it up to date: no example
+// may show the deleted row, and the illustration must be sufficient
+// for the edited data.
+func TestUndoPastRowEditRefreshesIllustration(t *testing.T) {
+	tl := mappedTool(t, paperdb.Instance())
+	undoPastDelete(t, tl)
+	il := tl.Active().Illustration
+	for _, e := range il.Examples {
+		if e.Assoc.Get("Children.ID").Equal(value.String("001")) {
+			t.Fatalf("illustration still shows deleted row 001:\n%v", il)
+		}
+	}
+	missing, err := il.MissingRequirements(tl.Instance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) > 0 {
+		t.Fatalf("illustration after undo misses %v:\n%v", missing, il)
+	}
+}
+
+// The refreshed illustration is part of the session state: the live
+// tool, a tool replaying the same ops, and a tool restored from a
+// snapshot taken between the edit and the undo (which carries the
+// dropped D(G) as absent) then undoing, all render the same
+// illustration and view.
+func TestUndoPastRowEditLiveReplayedResurrected(t *testing.T) {
+	ctx := context.Background()
+	render := func(tl *Tool) string {
+		t.Helper()
+		view, err := tl.TargetView(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tl.Active().Illustration.String() + view.String()
+	}
+	live := mappedTool(t, paperdb.Instance())
+	undoPastDelete(t, live)
+	want := render(live)
+
+	if got := render(func() *Tool { tl := mappedTool(t, paperdb.Instance()); undoPastDelete(t, tl); return tl }()); got != want {
+		t.Fatalf("replayed differs:\n%s--- live\n%s", got, want)
+	}
+
+	// Resurrect: snapshot after the edit, restore into a tool whose
+	// instance has the edit applied, then undo.
+	src := mappedTool(t, paperdb.Instance())
+	if err := src.Walk(ctx, "Children", "Parents"); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.ApplyRows(ctx, "Children", rowVals("001", "Ann", "9", "100", "101", "d1"), true); err != nil {
+		t.Fatal(err)
+	}
+	st, err := src.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := paperdb.Instance()
+	children := in.Relation("Children")
+	children.RemoveAt(children.IndexOf(relation.NewTuple(children.Scheme(), rowVals("001", "Ann", "9", "100", "101", "d1")...)))
+	restored := New(ctx, in, paperdb.Kids(), false)
+	if err := restored.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Undo(); err != nil {
+		t.Fatal(err)
+	}
+	if got := render(restored); got != want {
+		t.Fatalf("resurrected differs:\n%s--- live\n%s", got, want)
+	}
+}
+
+// Activating a workspace whose D(G) a row edit dropped refreshes it in
+// the current set only. An undo snapshot that holds the same
+// workspace (a filter keeps the other alternatives) still restores the
+// state it recorded, as the same snapshot serialized before the
+// activation would.
+func TestActivationLeavesUndoHistoryAsRecorded(t *testing.T) {
+	ctx := context.Background()
+	tl := mappedTool(t, paperdb.Instance())
+	if err := tl.Walk(ctx, "Children", "Parents"); err != nil {
+		t.Fatal(err)
+	}
+	ws := tl.Workspaces()
+	if len(ws) < 2 {
+		t.Fatalf("walk gave %d alternatives, want at least 2", len(ws))
+	}
+	other := ws[1].ID
+	if err := tl.AddSourceFilter(ctx, expr.MustParse("Children.ID IS NOT NULL")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.ApplyRows(ctx, "Children", rowVals("001", "Ann", "9", "100", "101", "d1"), true); err != nil {
+		t.Fatal(err)
+	}
+	history := func() string {
+		t.Helper()
+		st, err := tl.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := json.Marshal(st.History)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(doc)
+	}
+	before := history()
+	if err := tl.Use(other); err != nil {
+		t.Fatal(err)
+	}
+	if after := history(); after != before {
+		t.Fatalf("activation changed the undo history:\n%s\n--- recorded\n%s", after, before)
+	}
+	for _, e := range tl.Active().Illustration.Examples {
+		if e.Assoc.Get("Children.ID").Equal(value.String("001")) {
+			t.Fatalf("activated illustration still shows deleted row 001:\n%v", tl.Active().Illustration)
+		}
+	}
+}
+
+// A failed row edit is not journaled, so it must leave no trace a
+// later op can observe: undo snapshots keep their D(G) caches, and
+// undoing afterwards shows the same illustration as a session that
+// never attempted the edit.
+func TestFailedRowEditKeepsUndoHistory(t *testing.T) {
+	ctx := context.Background()
+	walked := func() *Tool {
+		tl := mappedTool(t, paperdb.Instance())
+		if err := tl.Walk(ctx, "Children", "Parents"); err != nil {
+			t.Fatal(err)
+		}
+		return tl
+	}
+	history := func(tl *Tool) string {
+		t.Helper()
+		st, err := tl.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := json.Marshal(st.History)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(doc)
+	}
+	tl := walked()
+	before := history(tl)
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := tl.ApplyRows(cctx, "Children", rowVals("001", "Ann", "9", "100", "101", "d1"), true); err == nil {
+		t.Fatal("row edit under a cancelled context succeeded")
+	}
+	if after := history(tl); after != before {
+		t.Fatalf("failed edit changed the undo history:\n%s\n--- before\n%s", after, before)
+	}
+	ref := walked()
+	for _, x := range []*Tool{tl, ref} {
+		if err := x.Undo(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := tl.Active().Illustration.String(), ref.Active().Illustration.String(); got != want {
+		t.Fatalf("undo after a failed edit shows:\n%s--- never attempted\n%s", got, want)
+	}
+}
+
+// Confirm keeps the active workspace in both the current set and the
+// undo snapshot. Row edits then maintain it in the current set only,
+// so undoing after several edits shows the same illustration whether
+// the session ran live or was restored from a snapshot taken after the
+// confirm: either way the restored workspace's illustration is evolved
+// once, from what the snapshot recorded, onto the edited data.
+func TestUndoPastConfirmAfterRowEditsLiveResurrected(t *testing.T) {
+	ctx := context.Background()
+	editUndo := func(tl *Tool) string {
+		t.Helper()
+		// A parent with no phone and no child opens a new coverage
+		// class, so the first edit adds a fresh example; the second
+		// edit then inherits it.
+		if err := tl.ApplyRows(ctx, "Parents", rowVals("300", "Acme", "1 Bay St", "50000"), false); err != nil {
+			t.Fatal(err)
+		}
+		if err := tl.ApplyRows(ctx, "Children", rowVals("015", "Yan", "6", "100", "101", "d1"), false); err != nil {
+			t.Fatal(err)
+		}
+		if err := tl.Undo(); err != nil {
+			t.Fatal(err)
+		}
+		view, err := tl.TargetView(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tl.Active().Illustration.String() + view.String()
+	}
+	live := mappedTool(t, paperdb.Instance())
+	if err := live.Confirm(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := live.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := editUndo(live)
+
+	restored := New(ctx, paperdb.Instance(), paperdb.Kids(), false)
+	if err := restored.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := editUndo(restored); got != want {
+		t.Fatalf("resurrected differs:\n%s--- live\n%s", got, want)
+	}
 }

@@ -48,9 +48,11 @@ type Workspace struct {
 	// costs the same order as a cold D(G); later edits classify and
 	// merge only their delta. Only the active workspace keeps one: a
 	// row edit drops dg and dgm on every other workspace, undo
-	// snapshots included. Never serialized: a restored session
-	// rebuilds it on its next edit, which renders identically because
-	// Materialized.Rel() is canonical.
+	// snapshots included (activateLocked rebuilds dg and refreshes the
+	// illustration when such a workspace becomes active). Never
+	// serialized: a restored session rebuilds it on its next edit,
+	// which renders identically because Materialized.Rel() is
+	// canonical.
 	dgm *fd.Materialized
 }
 
@@ -234,9 +236,40 @@ func (t *Tool) Undo() (err error) {
 	snap := t.history[len(t.history)-1]
 	t.history = t.history[:len(t.history)-1]
 	t.workspaces = snap.workspaces
-	t.active = snap.active
 	t.accepted = snap.accepted
+	t.activateLocked(snap.active)
 	return nil
+}
+
+// activateLocked makes workspaces[i] the active workspace (-1 for
+// none). A workspace whose D(G) cache a row edit dropped while it was
+// inactive still shows the illustration of the data before the edit,
+// so activation recomputes its D(G) and evolves the illustration onto
+// it (same graph, so surviving examples are inherited). The refreshed
+// workspace replaces w in the current set only: undo snapshots that
+// share w keep it as it was, exactly as a snapshot serialized before
+// the activation would restore it. If the recompute or evolution
+// fails, the old illustration is kept, as maintainRowsLocked does, and
+// the next activation tries again.
+func (t *Tool) activateLocked(i int) {
+	t.active = i
+	w := t.activeLocked()
+	if w == nil || w.dg != nil || len(w.Illustration.Examples) == 0 {
+		return
+	}
+	ctx, span := obs.StartSpan(context.Background(), "workspace.refresh_illustration")
+	defer span.End()
+	dg, err := t.dgFor(ctx, w.Mapping) // w is active with no cache: a cold D(G)
+	if err != nil {
+		return
+	}
+	ev, err := core.EvolveOnDG(ctx, w.Illustration, w.Mapping, t.Instance, dg)
+	if err != nil {
+		return
+	}
+	nw := *w
+	nw.dg, nw.Illustration = dg, ev.Illustration
+	t.workspaces[i] = &nw
 }
 
 // setAlternatives replaces the current workspaces with the given
@@ -287,7 +320,7 @@ func (t *Tool) Use(id int) error {
 	defer t.mu.Unlock()
 	for i, w := range t.workspaces {
 		if w.ID == id {
-			t.active = i
+			t.activateLocked(i)
 			return nil
 		}
 	}
@@ -299,7 +332,7 @@ func (t *Tool) Rotate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.workspaces) > 1 {
-		t.active = (t.active + 1) % len(t.workspaces)
+		t.activateLocked((t.active + 1) % len(t.workspaces))
 	}
 }
 
@@ -313,14 +346,16 @@ func (t *Tool) Delete(id int) error {
 			continue
 		}
 		t.workspaces = append(t.workspaces[:i], t.workspaces[i+1:]...)
+		next := t.active
 		switch {
 		case len(t.workspaces) == 0:
-			t.active = -1
-		case t.active >= len(t.workspaces):
-			t.active = len(t.workspaces) - 1
-		case t.active > i:
-			t.active--
+			next = -1
+		case next >= len(t.workspaces):
+			next = len(t.workspaces) - 1
+		case next > i:
+			next--
 		}
+		t.activateLocked(next)
 		return nil
 	}
 	return fmt.Errorf("workspace: no workspace %d", id)
@@ -402,8 +437,8 @@ func (t *Tool) TargetView(ctx context.Context) (*relation.Relation, error) {
 // claim applied to data edits, in O(delta) via fd.MaintainRows rather
 // than O(instance). A delete removes the first row equal to the given
 // values and fails if none exists. Non-active workspaces drop their
-// cached D(G) (they recompute on next activation); the active one is
-// delta-maintained.
+// cached D(G) (activation recomputes it and evolves their
+// illustration); the active one is delta-maintained.
 //
 // On a maintenance failure (budget abort, cancellation) the instance
 // mutation is rolled back, so a failed edit leaves the session exactly
@@ -452,27 +487,21 @@ func (t *Tool) ApplyRows(ctx context.Context, relName string, vals []value.Value
 }
 
 // maintainRowsLocked propagates one already-applied row edit into the
-// active workspace's materialized D(G) and illustration. Every other
-// workspace — current or held by an undo snapshot — just drops its
-// caches (losing a cache is safe; keeping a stale one is not, since
-// Undo can make it active again).
+// active workspace's materialized D(G) and illustration, replacing the
+// active workspace with the maintained copy. Once that succeeds, every
+// other workspace — current or held by an undo
+// snapshot — just drops its caches (losing a cache is safe; keeping a
+// stale one is not, since Undo can make it active again;
+// activateLocked then refreshes its illustration). A failed edit drops
+// nothing: it is not journaled, so it must leave nothing a later
+// activation could observe.
 func (t *Tool) maintainRowsLocked(ctx context.Context, base string, tup relation.Tuple, del bool) error {
 	act := t.activeLocked()
-	drop := func(ws []*Workspace) {
-		for _, w := range ws {
-			if w != act {
-				w.dg, w.dgm = nil, nil
-			}
-		}
-	}
-	drop(t.workspaces)
-	for _, snap := range t.history {
-		drop(snap.workspaces)
-	}
 	if act == nil || act.Mapping.Graph.NodeCount() == 0 || !fd.GraphReadsBase(act.Mapping.Graph, base) {
 		// Nothing to maintain: no active mapping, or its graph never
 		// reads the edited relation, so its D(G) is untouched.
 		obs.Note(ctx, "dg_maint", "none")
+		t.dropInactiveCachesLocked(act)
 		return nil
 	}
 	dg, mat, _, err := fd.MaintainRows(ctx, act.dgm, act.Mapping.Graph, t.Instance, base, tup, del)
@@ -483,7 +512,15 @@ func (t *Tool) maintainRowsLocked(ctx context.Context, base string, tup relation
 		act.dgm = nil
 		return err
 	}
-	act.dg, act.dgm = dg, mat
+	// Maintain a copy of act: an undo snapshot may hold act itself
+	// (Confirm keeps the confirmed workspace in both), and must restore
+	// what it recorded, as its serialized form would. The original
+	// drops its caches with every other workspace.
+	nw := *act
+	nw.dg, nw.dgm = dg, mat
+	t.workspaces[t.active] = &nw
+	act = &nw
+	t.dropInactiveCachesLocked(act)
 	// The illustration rides the new D(G): examples on unchanged
 	// associations are inherited, the rest re-selected (Section 5.3
 	// continuity). A failed evolution falls back to a fresh selection;
@@ -497,6 +534,22 @@ func (t *Tool) maintainRowsLocked(ctx context.Context, base string, tup relation
 		}
 	}
 	return nil
+}
+
+// dropInactiveCachesLocked drops the D(G) caches of every workspace
+// but act, current or held by an undo snapshot, after a row edit.
+func (t *Tool) dropInactiveCachesLocked(act *Workspace) {
+	drop := func(ws []*Workspace) {
+		for _, w := range ws {
+			if w != act {
+				w.dg, w.dgm = nil, nil
+			}
+		}
+	}
+	drop(t.workspaces)
+	for _, snap := range t.history {
+		drop(snap.workspaces)
+	}
 }
 
 // AddCorrespondence applies the correspondence operator to the active
