@@ -8,6 +8,8 @@ package clio_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"strconv"
 	"testing"
 
 	"clio/internal/core"
@@ -15,8 +17,10 @@ import (
 	"clio/internal/discovery"
 	"clio/internal/expr"
 	"clio/internal/fd"
+	"clio/internal/graph"
 	"clio/internal/paperdb"
 	"clio/internal/relation"
+	"clio/internal/schema"
 	"clio/internal/value"
 )
 
@@ -258,6 +262,80 @@ func BenchmarkEvolveOnDGRowEdit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(dg.Len()), "associations")
+}
+
+// ordersStar builds a five-node tree shaped like the end-to-end
+// benchmark's final mapping: Orders as the hub of Customers,
+// OrderLines and Shipments, and Products hanging off OrderLines, over
+// string keys (200 customers, 1000 orders with 1–5 lines each, 70%
+// of them shipped, 100 products).
+func ordersStar() (*graph.QueryGraph, *relation.Instance) {
+	rels := map[string][]string{
+		"Customers":  {"cid", "name", "country"},
+		"Orders":     {"oid", "cid", "day"},
+		"OrderLines": {"lid", "oid", "pid", "qty"},
+		"Products":   {"pid", "title", "price"},
+		"Shipments":  {"sid", "oid", "carrier"},
+	}
+	sch := schema.NewDatabase()
+	for _, name := range []string{"Customers", "Orders", "OrderLines", "Products", "Shipments"} {
+		var attrs []schema.Attribute
+		for _, a := range rels[name] {
+			attrs = append(attrs, schema.Attribute{Name: a, Type: value.KindString})
+		}
+		sch.MustAddRelation(schema.NewRelation(name, attrs...))
+	}
+	in := relation.NewInstance(sch)
+	rng := rand.New(rand.NewSource(7))
+	str := func(prefix string, i int) value.Value { return value.String(prefix + strconv.Itoa(i)) }
+	cust, prod := in.NewRelationFor("Customers"), in.NewRelationFor("Products")
+	for i := 1; i <= 200; i++ {
+		cust.AddValues(str("c", i), str("name", rng.Intn(120)), str("country", rng.Intn(5)))
+	}
+	for i := 1; i <= 100; i++ {
+		prod.AddValues(str("p", i), str("title", i), str("price", rng.Intn(200)))
+	}
+	orders, lines, ships := in.NewRelationFor("Orders"), in.NewRelationFor("OrderLines"), in.NewRelationFor("Shipments")
+	lid := 0
+	for i := 1; i <= 1000; i++ {
+		orders.AddValues(str("o", i), str("c", 1+rng.Intn(199)), str("day", rng.Intn(336)))
+		for n := 1 + i%5; n > 0; n-- {
+			lid++
+			lines.AddValues(str("l", lid), str("o", i), str("p", 1+rng.Intn(99)), str("", 1+rng.Intn(5)))
+		}
+		if i%10 < 7 {
+			ships.AddValues(str("s", i), str("o", i), str("carrier", rng.Intn(4)))
+		}
+	}
+	for _, r := range []*relation.Relation{cust, orders, lines, prod, ships} {
+		in.MustAdd(r)
+	}
+	g := graph.New()
+	for _, name := range []string{"Orders", "Customers", "OrderLines", "Shipments", "Products"} {
+		g.MustAddNode(name, name)
+	}
+	g.MustAddEdge("Orders", "Customers", expr.Equals("Orders.cid", "Customers.cid"))
+	g.MustAddEdge("Orders", "OrderLines", expr.Equals("Orders.oid", "OrderLines.oid"))
+	g.MustAddEdge("Orders", "Shipments", expr.Equals("Orders.oid", "Shipments.oid"))
+	g.MustAddEdge("OrderLines", "Products", expr.Equals("OrderLines.pid", "Products.pid"))
+	return g, in
+}
+
+// BenchmarkNewMaterialized times what a session's first row edit
+// builds: the delta-maintainable D(G) of the five-node orders tree and
+// its first rendering.
+func BenchmarkNewMaterialized(b *testing.B) {
+	ctx := context.Background()
+	g, in := ordersStar()
+	var rows int
+	for i := 0; i < b.N; i++ {
+		m, err := fd.NewMaterialized(ctx, g, in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows = m.Rel().Len()
+	}
+	b.ReportMetric(float64(rows), "dg_rows")
 }
 
 func BenchmarkEvolutionRecompute(b *testing.B) {

@@ -36,10 +36,11 @@ import (
 //
 // Cost is O(delta): the singleton-bound side of every join term has
 // one tuple, so term size is bounded by the rows that actually join
-// with δ, not by |B|. Degradation is explicit — too many connected
-// subsets (MaxDeltaSubsets), too many occurrences of B in one subset
-// (maxDeltaOccurrences), or an inconsistency detected by the
-// subsumption set — and falls back to a full rebuild in MaintainRows.
+// with δ, not by |B|. Degradation is explicit: too many connected
+// subsets (MaxDeltaSubsets) answers with a plain Compute, and too many
+// occurrences of B in one subset (maxDeltaOccurrences) or an
+// inconsistency detected by the subsumption set falls back to a full
+// rebuild in MaintainRows.
 
 // Delta-vs-rebuild decision counters for row-edit maintenance.
 var (
@@ -49,7 +50,7 @@ var (
 
 // MaxDeltaSubsets bounds the connected-subset count a materialized
 // D(G) will maintain by delta; past it every edit term enumeration
-// costs more than it saves and MaintainRows rebuilds instead.
+// costs more than it saves and MaintainRows computes D(G) instead.
 const MaxDeltaSubsets = 256
 
 // maxDeltaOccurrences bounds the occurrences of the edited base within
@@ -72,14 +73,28 @@ type Materialized struct {
 }
 
 // NewMaterialized computes D(G) from scratch into delta-maintainable
-// form. It enumerates the same subgraphs and charges the same budget
-// as FullDisjunction; only the accumulator differs.
+// form: every association of every connected subset, with the
+// subsumption state that delete maintenance needs. It builds over the
+// lattice of connected subsets (lattice.go): each F(J) extends an
+// already computed F(J∖{l}) by one node, and the maximality of
+// null-free associations comes from their lineage instead of
+// classification. It charges the budget once per association, as any
+// padded association is charged.
 func NewMaterialized(ctx context.Context, g *graph.QueryGraph, in *relation.Instance) (*Materialized, error) {
+	return newMaterialized(ctx, g, in, g.ConnectedSubsets())
+}
+
+// newMaterialized is NewMaterialized over a precomputed enumeration of
+// g's connected subsets, which the materialization keeps for ApplyRow.
+func newMaterialized(ctx context.Context, g *graph.QueryGraph, in *relation.Instance, subsets [][]string) (*Materialized, error) {
 	if g.NodeCount() == 0 {
 		return nil, fmt.Errorf("fd: empty query graph")
 	}
 	if !g.Connected() {
 		return nil, fmt.Errorf("fd: query graph is not connected")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	ctx, span := obs.StartSpan(ctx, "fd.materialize")
 	defer span.End()
@@ -87,27 +102,21 @@ func NewMaterialized(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 	if err != nil {
 		return nil, err
 	}
-	subsets := g.ConnectedSubsets()
 	span.SetInt("subsets", int64(len(subsets)))
-	tr := budget.FromContext(ctx)
 	m := &Materialized{
 		scheme:  s,
 		subsets: subsets,
 		set:     relation.NewSubsumeSet(s),
 		canon:   canonGraph(g),
 	}
-	for _, sub := range subsets {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		plan, err := associationPlan(g, sub)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.drain(ctx, plan, in, tr, false); err != nil {
-			return nil, err
-		}
+	b, err := buildLattice(ctx, g, in, s, m.set)
+	if err != nil {
+		return nil, err
 	}
+	span.SetInt("lineage_rows", b.lineage)
+	span.SetInt("classified_rows", b.classified)
+	span.SetInt("probes", b.probes)
+	span.SetInt("lineage_maximal", b.maximal)
 	span.SetInt("tuples", int64(m.set.Len()))
 	return m, nil
 }
@@ -255,6 +264,9 @@ func GraphReadsBase(g *graph.QueryGraph, base string) bool {
 // refreshed relation, the materialization to keep for the next edit,
 // and the chosen mode ("delta" or "recompute") — which is also left on
 // the context's notes scratchpad as "dg_maint" for explain surfaces.
+// A graph with more than MaxDeltaSubsets connected subsets, which the
+// delta path refuses, is answered by Compute with a nil
+// materialization.
 //
 // Error contract: on a budget abort or context cancellation the
 // returned materialization is nil and the caller must treat any prior
@@ -263,11 +275,29 @@ func GraphReadsBase(g *graph.QueryGraph, base string) bool {
 func MaintainRows(ctx context.Context, mat *Materialized, g *graph.QueryGraph, in *relation.Instance, base string, t relation.Tuple, del bool) (*relation.Relation, *Materialized, string, error) {
 	ctx, span := obs.StartSpan(ctx, "fd.maintain_rows")
 	defer span.End()
+	var subsets [][]string
+	var ok bool
+	if mat.Matches(g) {
+		subsets = mat.subsets
+		ok = len(subsets) <= MaxDeltaSubsets
+	} else {
+		subsets, ok = g.ConnectedSubsetsAtMost(MaxDeltaSubsets)
+	}
+	if !ok {
+		// The delta path refuses a graph this wide, so a
+		// materialization of it could never be used: answer with a
+		// plain computation and keep nothing.
+		d, err := Compute(ctx, g, in)
+		if err != nil {
+			return nil, nil, "", err
+		}
+		return recomputed(ctx, span, d), nil, "recompute", nil
+	}
 	rebuildEst, err := estimateRows(g, in, g.IsTree())
 	if err != nil {
 		return nil, nil, "", err
 	}
-	if mat.Matches(g) && len(mat.subsets) <= MaxDeltaSubsets {
+	if mat.Matches(g) {
 		// Certain lower bound for the delta: every singleton subset
 		// over the edited base emits the delta tuple itself once.
 		var deltaEst int64
@@ -298,14 +328,20 @@ func MaintainRows(ctx context.Context, mat *Materialized, g *graph.QueryGraph, i
 			return nil, nil, "", overBudget(ctx, rebuildEst)
 		}
 	}
-	m2, err := NewMaterialized(ctx, g, in)
+	m2, err := newMaterialized(ctx, g, in, subsets)
 	if err != nil {
 		return nil, nil, "", err
 	}
+	d := m2.Rel()
+	cacheStoreCurrent(g, in, d)
+	return recomputed(ctx, span, d), m2, "recompute", nil
+}
+
+// recomputed records a from-scratch answer of MaintainRows on its span,
+// the rebuild counter and the notes scratchpad, and returns d.
+func recomputed(ctx context.Context, span *obs.Span, d *relation.Relation) *relation.Relation {
 	span.SetStr("mode", "recompute")
 	cDeltaRebuild.Inc()
 	obs.Note(ctx, "dg_maint", "recompute")
-	d := m2.Rel()
-	cacheStoreCurrent(g, in, d)
-	return d, m2, "recompute", nil
+	return d
 }

@@ -118,19 +118,14 @@ func Tag(coverage []string, abbrev map[string]string) string {
 	return strings.Join(parts, "")
 }
 
-// associationPlan compiles the F(J) plan (Definition 3.5) for the
+// associationPlanWith compiles the F(J) plan (Definition 3.5) for the
 // subgraph of g induced by subset, which must induce a connected
 // subgraph: inner hash joins along a spanning order, with the cycle
-// edges applied as a residual selection.
-func associationPlan(g *graph.QueryGraph, subset []string) (algebra.Node, error) {
-	return associationPlanWith(g, subset, nil)
-}
-
-// associationPlanWith is associationPlan with per-node source
-// overrides: a node whose name appears in bind reads from the bound
-// algebra node instead of a base-relation scan. The delta planner uses
-// this to substitute singleton-delta and pre-mutation-prefix relations
-// into individual occurrences of an edited base.
+// edges applied as a residual selection. A node whose name appears in
+// bind reads from the bound algebra node instead of a base-relation
+// scan; the delta planner uses this to substitute singleton-delta and
+// pre-mutation-prefix relations into individual occurrences of an
+// edited base.
 func associationPlanWith(g *graph.QueryGraph, subset []string, bind map[string]algebra.Node) (algebra.Node, error) {
 	j := g.Induced(subset)
 	order, treeEdges, ok := j.SpanningTreeOrder()
@@ -200,7 +195,7 @@ func assemblePlan(j *graph.QueryGraph, order []string, attach []graph.Edge, est 
 
 // FullAssociations computes F(J) (Definition 3.5) for the subgraph of
 // g induced by the given node subset, which must induce a connected
-// subgraph. The compiled plan (see associationPlan) is drained under
+// subgraph. The compiled plan (see associationPlanCost) is drained under
 // the context's budget and cancellation.
 func FullAssociations(ctx context.Context, g *graph.QueryGraph, in *relation.Instance, subset []string) (*relation.Relation, error) {
 	plan, err := associationPlanCost(ctx, g, subset, in)

@@ -250,6 +250,21 @@ func (g *QueryGraph) Union(h *QueryGraph) (*QueryGraph, error) {
 // such subsets can be exponential in the node count — callers working
 // with large non-tree graphs should bound node count upstream.
 func (g *QueryGraph) ConnectedSubsets() [][]string {
+	out, _ := g.connectedSubsets(-1)
+	return out
+}
+
+// ConnectedSubsetsAtMost is ConnectedSubsets for callers that only
+// want the enumeration when it is small: it returns the subsets and
+// true when there are at most limit of them, and nil and false —
+// having stopped enumerating at limit+1 — otherwise.
+func (g *QueryGraph) ConnectedSubsetsAtMost(limit int) ([][]string, bool) {
+	return g.connectedSubsets(limit)
+}
+
+// connectedSubsets enumerates like ConnectedSubsets, giving up once
+// it has found more than limit subsets (limit < 0: no limit).
+func (g *QueryGraph) connectedSubsets(limit int) ([][]string, bool) {
 	names := append([]string(nil), g.order...)
 	sort.Strings(names)
 	pos := make(map[string]int, len(names))
@@ -276,10 +291,17 @@ func (g *QueryGraph) ConnectedSubsets() [][]string {
 	// For each root r, enumerate connected sets whose minimum element
 	// is r. Each extension candidate is either taken or permanently
 	// forbidden, which yields each set exactly once.
+	over := false
 	var rec func(set []int, ext []int, forbidden []bool)
 	rec = func(set []int, ext []int, forbidden []bool) {
 		emit(set)
+		if limit >= 0 && len(out) > limit {
+			over = true
+		}
 		for i, u := range ext {
+			if over {
+				return
+			}
 			// Forbid the candidates we skipped before u.
 			f2 := append([]bool(nil), forbidden...)
 			for _, v := range ext[:i] {
@@ -320,6 +342,9 @@ func (g *QueryGraph) ConnectedSubsets() [][]string {
 		sort.Ints(ext)
 		ext = dedupInts(ext)
 		rec([]int{r}, ext, forbidden)
+		if over {
+			return nil, false
+		}
 	}
 
 	sort.Slice(out, func(i, j int) bool {
@@ -328,7 +353,7 @@ func (g *QueryGraph) ConnectedSubsets() [][]string {
 		}
 		return strings.Join(out[i], ",") < strings.Join(out[j], ",")
 	})
-	return out
+	return out, true
 }
 
 // ConnectedSubsetsNaive enumerates induced connected subsets by

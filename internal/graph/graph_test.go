@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -382,5 +383,28 @@ func TestInducedPreservesConjoinedLabels(t *testing.T) {
 	e, ok := sub.EdgeBetween("A", "B")
 	if !ok || !strings.Contains(e.Label(), "A.y = B.y") {
 		t.Errorf("conjoined label lost: %v", e)
+	}
+}
+
+// ConnectedSubsetsAtMost answers the full enumeration up to the limit
+// and gives up past it.
+func TestConnectedSubsetsAtMost(t *testing.T) {
+	g := New()
+	for _, n := range []string{"A", "B", "C", "D"} {
+		g.MustAddNode(n, n)
+	}
+	g.MustAddEdge("A", "B", expr.Equals("A.k", "B.k"))
+	g.MustAddEdge("B", "C", expr.Equals("B.k", "C.k"))
+	g.MustAddEdge("C", "D", expr.Equals("C.k", "D.k"))
+	all := g.ConnectedSubsets()
+	if len(all) != 10 {
+		t.Fatalf("chain of 4 has %d connected subsets, want 10", len(all))
+	}
+	got, ok := g.ConnectedSubsetsAtMost(10)
+	if !ok || fmt.Sprint(got) != fmt.Sprint(all) {
+		t.Fatalf("at the limit: ok=%v, %v, want %v", ok, got, all)
+	}
+	if got, ok := g.ConnectedSubsetsAtMost(9); ok || got != nil {
+		t.Fatalf("past the limit: ok=%v, %v", ok, got)
 	}
 }

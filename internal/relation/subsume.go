@@ -14,9 +14,10 @@ import (
 // The structure groups live tuples by null mask, exactly like the batch
 // algorithm: a tuple u can only be strictly subsumed by a tuple whose
 // mask is a strict superset of u's, matching u on u's non-null
-// positions. Each group keeps a hash index on its own positions plus
-// lazily built (then incrementally maintained) indexes on subset-mask
-// positions, so classifying or deleting one tuple touches
+// positions. Each group keeps a hash index of its tuples — which also
+// answers "what here do I subsume?" for a wider tuple's projection —
+// plus lazily built (then incrementally maintained) indexes on
+// subset-mask positions, so classifying or deleting one tuple touches
 // O(groups + matches) tuples, not O(n).
 //
 // Classification is lazy. Insert only registers the tuple; maximal
@@ -70,18 +71,18 @@ type ssGroup struct {
 	// n counts the group's live entries, unclassified the ones among
 	// them still pending classification.
 	n, unclassified int
-	// entries indexes live tuples by full-tuple hash (bucket+confirm,
-	// same discipline as Distinct).
-	entries map[uint64][]*ssEntry
+	// entries indexes live tuples by their hash on the group's
+	// positions (see hash), each bucket a chain through ssEntry.next
+	// (bucket+confirm, same discipline as Distinct). Every tuple of the
+	// group is null off those positions, so the hash identifies it
+	// within the group, and the index also answers a wider tuple asking
+	// which tuples here it subsumes.
+	entries map[uint64]*ssEntry
 	// sub holds hash indexes of this group's tuples keyed on a
 	// subset mask's positions — the probe target when a narrower tuple
 	// asks "does anything here subsume me?". Built lazily per subset
-	// mask, then kept fresh by every add/remove. The group's own
-	// positions are one such index (its own mask key, also held in
-	// own), used when a wider tuple demotes or re-checks the tuples it
-	// subsumes.
+	// mask, then kept fresh by every add/remove.
 	sub map[string]*ssSubIndex
-	own *ssSubIndex
 }
 
 // ssSubIndex is one lazily built projection index of a group.
@@ -97,6 +98,7 @@ type ssSubIndex struct {
 type ssEntry struct {
 	t     Tuple
 	g     *ssGroup
+	next  *ssEntry // the next entry of the same entries bucket
 	key   string
 	count int
 	// maximal is valid once the entry has left pending. A removed
@@ -131,19 +133,20 @@ func (s *SubsumeSet) group(m Mask) *ssGroup {
 		g = &ssGroup{
 			mask:      m,
 			positions: m.Ones(),
-			entries:   map[uint64][]*ssEntry{},
+			entries:   map[uint64]*ssEntry{},
 			sub:       map[string]*ssSubIndex{},
 		}
-		g.own = &ssSubIndex{positions: g.positions, buckets: map[uint64][]*ssEntry{}}
-		g.sub[k] = g.own
 		s.groups[k] = g
 	}
 	return g
 }
 
+// hash returns the entries key of t, a tuple of the group's mask.
+func (g *ssGroup) hash(t Tuple) uint64 { return t.HashOn(g.positions) }
+
 // find returns the live entry Equal to t, or nil.
 func (g *ssGroup) find(h uint64, t Tuple) *ssEntry {
-	for _, e := range g.entries[h] {
+	for e := g.entries[h]; e != nil; e = e.next {
 		if e.t.Equal(t) {
 			return e
 		}
@@ -155,7 +158,8 @@ func (g *ssGroup) find(h uint64, t Tuple) *ssEntry {
 // existing projection index.
 func (g *ssGroup) add(h uint64, e *ssEntry) {
 	g.n++
-	g.entries[h] = append(g.entries[h], e)
+	e.next = g.entries[h]
+	g.entries[h] = e
 	for _, ix := range g.sub {
 		ph := e.t.HashOn(ix.positions)
 		ix.buckets[ph] = append(ix.buckets[ph], e)
@@ -166,10 +170,21 @@ func (g *ssGroup) add(h uint64, e *ssEntry) {
 // index.
 func (g *ssGroup) remove(h uint64, e *ssEntry) {
 	g.n--
-	g.entries[h] = removeEntry(g.entries[h], e)
-	if len(g.entries[h]) == 0 {
-		delete(g.entries, h)
+	if head := g.entries[h]; head == e {
+		if e.next == nil {
+			delete(g.entries, h)
+		} else {
+			g.entries[h] = e.next
+		}
+	} else {
+		for p := head; p != nil; p = p.next {
+			if p.next == e {
+				p.next = e.next
+				break
+			}
+		}
 	}
+	e.next = nil
 	for _, ix := range g.sub {
 		ph := e.t.HashOn(ix.positions)
 		ix.buckets[ph] = removeEntry(ix.buckets[ph], e)
@@ -283,8 +298,8 @@ func (g *ssGroup) index(m Mask, positions []int) *ssSubIndex {
 		return ix
 	}
 	ix := &ssSubIndex{positions: positions, buckets: map[uint64][]*ssEntry{}}
-	for _, es := range g.entries {
-		for _, e := range es {
+	for _, e := range g.entries {
+		for ; e != nil; e = e.next {
 			ph := e.t.HashOn(positions)
 			ix.buckets[ph] = append(ix.buckets[ph], e)
 		}
@@ -325,7 +340,7 @@ func (s *SubsumeSet) eachSubsumed(g *ssGroup, t Tuple, visit func(h *ssGroup, e 
 		if h == g || !g.mask.SupersetOf(h.mask) || g.mask.Equal(h.mask) {
 			continue
 		}
-		for _, e := range h.own.buckets[t.HashOn(h.positions)] {
+		for e := h.entries[h.hash(t)]; e != nil; e = e.next {
 			if e.t.EqualOn(t, h.positions, h.positions) {
 				visit(h, e)
 			}
@@ -340,13 +355,53 @@ func (s *SubsumeSet) Insert(t Tuple) {
 	if g == nil {
 		g = s.group(t.NonNullMask())
 	}
-	h := t.Hash64()
+	h := g.hash(t)
 	if e := g.find(h, t); e != nil {
 		e.count++
 		return
 	}
 	g.unclassified++
 	s.pending = append(s.pending, s.add(g, h, t))
+}
+
+// InsertClassified adds one occurrence of t whose maximal flag the
+// caller already knows, so classification never visits it: the bulk
+// load of a from-scratch build that derives maximality from lineage.
+// The flag must be the one classification would compute over the
+// finished multiset — a tuple loaded maximal has no strict subsumer
+// there, a tuple loaded non-maximal has one. Plain Inserts mix freely
+// with it: a pending arrival is probed against loaded entries through
+// the live multiset, never their flags, and demotes only what it
+// strictly subsumes, which no entry loaded maximal is.
+func (s *SubsumeSet) InsertClassified(t Tuple, maximal bool) {
+	g := s.groupOf(t)
+	if g == nil {
+		g = s.group(t.NonNullMask())
+	}
+	h := g.hash(t)
+	if e := g.find(h, t); e != nil {
+		e.count++
+		return
+	}
+	e := s.add(g, h, t)
+	e.maximal = maximal
+	if maximal {
+		s.enter(e)
+	}
+}
+
+// Each classifies the pending tuples and visits every distinct live
+// tuple with its multiset count and maximal flag, in no particular
+// order. The visitor must not mutate the set.
+func (s *SubsumeSet) Each(visit func(t Tuple, count int, maximal bool)) {
+	s.classify()
+	for _, g := range s.groups {
+		for _, e := range g.entries {
+			for ; e != nil; e = e.next {
+				visit(e.t, e.count, e.maximal)
+			}
+		}
+	}
 }
 
 // InsertPruning adds one occurrence of t in insert-only accumulation
@@ -371,7 +426,7 @@ func (s *SubsumeSet) InsertPruning(t Tuple) (displaced []Tuple, inserted bool) {
 	if g == nil {
 		g = s.group(t.NonNullMask())
 	}
-	h := t.Hash64()
+	h := g.hash(t)
 	if e := g.find(h, t); e != nil {
 		e.count++
 		return nil, false
@@ -389,7 +444,7 @@ func (s *SubsumeSet) InsertPruning(t Tuple) (displaced []Tuple, inserted bool) {
 		victims = append(victims, sub)
 	})
 	for _, v := range victims {
-		s.drop(v.t.Hash64(), v)
+		s.drop(v.g.hash(v.t), v)
 		displaced = append(displaced, v.t)
 	}
 	return displaced, true
@@ -403,7 +458,7 @@ func (s *SubsumeSet) Delete(t Tuple) bool {
 	if g == nil {
 		return false
 	}
-	h := t.Hash64()
+	h := g.hash(t)
 	e := g.find(h, t)
 	if e == nil {
 		return false
@@ -442,11 +497,13 @@ func (s *SubsumeSet) Delete(t Tuple) bool {
 func (s *SubsumeSet) Rel(name string) *Relation {
 	s.classify()
 	in := s.entering[:0]
+	var buf []byte
 	for _, e := range s.entering {
 		e.slot = -1
 		if e.maximal {
 			if e.key == "" {
-				e.key = e.t.Key()
+				buf = e.t.AppendKey(buf[:0])
+				e.key = string(buf)
 			}
 			e.inFront = true
 			in = append(in, e)

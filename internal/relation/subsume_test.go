@@ -314,3 +314,58 @@ func TestSubsumeSetChainPromotesAcrossMasks(t *testing.T) {
 		t.Fatalf("emptied set has Len %d", set.Len())
 	}
 }
+
+// InsertClassified loads tuples with their final maximal flags beside
+// plain Inserts. Loaded with the flags a naive check over the finished
+// multiset gives, the set must render exactly the batch front, keep
+// its counts, and stay exact under the deletes that follow — the
+// promotions of entries loaded non-maximal included.
+func TestSubsumeSetInsertClassifiedMixesWithInsert(t *testing.T) {
+	s := NewScheme("a", "b", "c")
+	rng := rand.New(rand.NewSource(2718))
+	for trial := 0; trial < 40; trial++ {
+		live := make([]Tuple, 5+rng.Intn(25))
+		for i := range live {
+			live[i] = randomNullableTuple(rng, s, 0.35)
+		}
+		set := NewSubsumeSet(s)
+		for _, tp := range live {
+			if rng.Intn(2) == 0 {
+				set.Insert(tp)
+				continue
+			}
+			maximal := true
+			for _, o := range live {
+				if o.StrictlySubsumes(tp) {
+					maximal = false
+					break
+				}
+			}
+			set.InsertClassified(tp, maximal)
+		}
+		counts := map[string]int{}
+		for _, tp := range live {
+			counts[tp.Key()]++
+		}
+		set.Each(func(tp Tuple, count int, _ bool) {
+			if counts[tp.Key()] != count {
+				t.Fatalf("trial %d: %v has count %d, want %d", trial, tp, count, counts[tp.Key()])
+			}
+			delete(counts, tp.Key())
+		})
+		if len(counts) != 0 {
+			t.Fatalf("trial %d: %d distinct tuples missing from the set", trial, len(counts))
+		}
+		for len(live) > 0 {
+			want := RemoveSubsumedNaive(FromTuples("live", s, live).Distinct())
+			if got := set.Rel("live"); !got.EqualSet(want) {
+				t.Fatalf("trial %d (%d live): front differs from batch\ngot:\n%v\nwant:\n%v", trial, len(live), got, want)
+			}
+			i := rng.Intn(len(live))
+			if !set.Delete(live[i]) {
+				t.Fatalf("trial %d: delete of live tuple %v refused", trial, live[i])
+			}
+			live = append(live[:i], live[i+1:]...)
+		}
+	}
+}

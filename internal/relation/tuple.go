@@ -211,10 +211,10 @@ func NewTupleArena(s *Scheme) *TupleArena { return &TupleArena{s: s, next: 8} }
 
 const arenaMaxSlabTuples = 256
 
-// Concat builds t ++ o over the arena's scheme from slab storage.
+// take carves the storage of one tuple out of the current slab.
 // Slabs grow geometrically, so a tiny join pays for a handful of
 // tuples while a large one amortizes to one allocation per 256.
-func (a *TupleArena) Concat(t, o Tuple) Tuple {
+func (a *TupleArena) take() []value.Value {
 	w := a.s.Arity()
 	if len(a.slab) < w {
 		a.slab = make([]value.Value, a.next*w)
@@ -222,8 +222,15 @@ func (a *TupleArena) Concat(t, o Tuple) Tuple {
 			a.next *= 2
 		}
 	}
-	vals := a.slab[:0:w]
+	vals := a.slab[:w:w]
 	a.slab = a.slab[w:]
+	return vals
+}
+
+// Concat builds t ++ o over the arena's scheme from slab storage.
+func (a *TupleArena) Concat(t, o Tuple) Tuple {
+	w := a.s.Arity()
+	vals := a.take()[:0]
 	vals = append(vals, t.vals...)
 	vals = append(vals, o.vals...)
 	if len(vals) != w {
@@ -246,6 +253,42 @@ func (a *TupleArena) ConcatScratch(t, o Tuple) Tuple {
 	vals = append(vals, o.vals...)
 	if len(vals) != w {
 		panic("relation: arena ConcatScratch arity mismatch")
+	}
+	return Tuple{scheme: a.s, vals: vals}
+}
+
+// Place builds, from slab storage, a tuple over the arena's scheme
+// holding base's values — nulls everywhere when base is the zero
+// Tuple — with part's values written at positions (positions[i]
+// receives part.At(i)). It pads a node's tuple into a wider layout, or
+// extends a padded tuple by one more node's block, in one copy.
+func (a *TupleArena) Place(base, part Tuple, positions []int) Tuple {
+	vals := a.take()
+	if base.vals != nil {
+		copy(vals, base.vals)
+	}
+	for i, p := range positions {
+		vals[p] = part.vals[i]
+	}
+	return Tuple{scheme: a.s, vals: vals}
+}
+
+// PlaceScratch is Place into a buffer reused across calls, for testing
+// a predicate against a candidate extension. The returned tuple is
+// INVALID after the next PlaceScratch or ConcatScratch call.
+func (a *TupleArena) PlaceScratch(base, part Tuple, positions []int) Tuple {
+	w := a.s.Arity()
+	if cap(a.scratch) < w {
+		a.scratch = make([]value.Value, 0, w)
+	}
+	vals := a.scratch[:w]
+	if base.vals != nil {
+		copy(vals, base.vals)
+	} else {
+		clear(vals)
+	}
+	for i, p := range positions {
+		vals[p] = part.vals[i]
 	}
 	return Tuple{scheme: a.s, vals: vals}
 }

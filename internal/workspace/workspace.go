@@ -43,10 +43,11 @@ type Workspace struct {
 	// dgm is the delta-maintainable form of dg (every padded
 	// association with its multiset count, not just the maximal front),
 	// built on the first row edit and kept by successful maintenance.
-	// The build registers associations without classifying them one by
-	// one and renders canonical keys for the maximal front only, so it
-	// costs the same order as a cold D(G); later edits classify and
-	// merge only their delta. Only the active workspace keeps one: a
+	// The build extends each connected subset's associations from its
+	// parent subset's, takes null-free associations' maximality from
+	// lineage and renders canonical keys for the maximal front only;
+	// later edits classify and merge only their delta. It is nil when
+	// the graph is too wide for delta maintenance. Only the active workspace keeps one: a
 	// row edit drops dg and dgm on every other workspace, undo
 	// snapshots included (activateLocked rebuilds dg and refreshes the
 	// illustration when such a workspace becomes active). Never
