@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck check bench bench-core bench-diff bench-smoke gobench-smoke demo serve-smoke chaos perfbench-check
+.PHONY: build test race vet fmt staticcheck check bench bench-core bench-diff bench-smoke gobench-smoke demo serve-smoke chaos perfbench-check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would reformat any tracked Go file. The file
+# list comes from git, so build output such as .bench_build/ is never
+# scanned.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # staticcheck runs honest-to-goodness staticcheck when the binary is
 # on PATH and is a no-op otherwise, so `make check` works on machines
@@ -51,12 +58,12 @@ perfbench-check:
 gobench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# check is the tier-1 verification gate: vet, staticcheck (when
+# check is the tier-1 verification gate: vet, gofmt, staticcheck (when
 # installed), build, tests, race tests, the chaos suite, the serve
 # smoke test, a one-iteration pass over the execution-core benchmark
 # workloads and over the Go benchmark functions, and the end-to-end
 # benchmark module's own vet and tests.
-check: vet staticcheck build test race chaos serve-smoke bench-smoke gobench-smoke perfbench-check
+check: vet fmt staticcheck build test race chaos serve-smoke bench-smoke gobench-smoke perfbench-check
 
 bench:
 	$(GO) run ./cmd/cliobench -quick

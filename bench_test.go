@@ -338,6 +338,28 @@ func BenchmarkNewMaterialized(b *testing.B) {
 	b.ReportMetric(float64(rows), "dg_rows")
 }
 
+// BenchmarkComputeCyclic times a cold D(G) of a cyclic graph: the
+// orders tree plus the transitive OrderLines.oid = Shipments.oid edge
+// that mining finds, with the memo cache off so every iteration
+// computes.
+func BenchmarkComputeCyclic(b *testing.B) {
+	ctx := context.Background()
+	g, in := ordersStar()
+	g.MustAddEdge("OrderLines", "Shipments", expr.Equals("OrderLines.oid", "Shipments.oid"))
+	prev := fd.SetCacheCapacity(0)
+	defer fd.SetCacheCapacity(prev)
+	var rows int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := fd.Compute(ctx, g, in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows = d.Len()
+	}
+	b.ReportMetric(float64(rows), "dg_rows")
+}
+
 func BenchmarkEvolutionRecompute(b *testing.B) {
 	full := chainCase(4, 200)
 	b.ResetTimer()

@@ -1,7 +1,7 @@
 // Package fault provides deterministic fault injection for chaos
 // testing. Production code plants named injection points at its
-// failure boundaries (journal I/O, cache store/hit, fd worker
-// dispatch); tests arm them with a seeded plan that injects errors,
+// failure boundaries (journal I/O, cache store/hit, D(G) compute
+// entry); tests arm them with a seeded plan that injects errors,
 // delays, or panics on a deterministic schedule. When the package is
 // disabled — the default — every injection point reduces to a single
 // atomic load and returns nil, so shipping the points costs nothing.

@@ -51,12 +51,12 @@ func BudgetUsed(ctx context.Context) (rows, bytes int64) {
 	return tr.Rows(), tr.Bytes()
 }
 
-// PanicError reports a panic recovered inside an fd computation — a
-// parallel worker that died is converted into this failure instead
-// of a hang or a process crash. Serving layers map it to an internal
-// error (HTTP 500), not a semantic operator failure.
+// PanicError reports a panic recovered inside an fd computation and
+// converted into this failure instead of a process crash. Serving
+// layers map it to an internal error (HTTP 500), not a semantic
+// operator failure.
 type PanicError struct {
-	// Where locates the recovered panic (e.g. "parallel worker").
+	// Where locates the recovered panic.
 	Where string
 	// Value is the recovered panic value.
 	Value any

@@ -23,7 +23,6 @@ func TestBudgetStopsAllAlgorithms(t *testing.T) {
 		run  func(ctx context.Context) error
 	}{
 		{"FullDisjunction", func(ctx context.Context) error { _, err := FullDisjunction(ctx, g, in); return err }},
-		{"FullDisjunctionParallel", func(ctx context.Context) error { _, err := FullDisjunctionParallel(ctx, g, in); return err }},
 		{"FullDisjunctionNaive", func(ctx context.Context) error { _, err := FullDisjunctionNaive(ctx, g, in); return err }},
 		{"FullDisjunctionOuterJoin", func(ctx context.Context) error { _, err := FullDisjunctionOuterJoin(ctx, tg, tin); return err }},
 		{"Compute", func(ctx context.Context) error { _, err := Compute(ctx, g, in); return err }},
@@ -100,28 +99,45 @@ func TestBudgetAppliesToCacheHits(t *testing.T) {
 	}
 }
 
-// An injected panic inside a parallel worker must surface as a typed
-// *PanicError — one failed computation, not a crashed process or a
-// hung WaitGroup — and the next computation must succeed untouched.
-func TestChaosWorkerPanicContained(t *testing.T) {
-	fault.Enable(1)
-	defer fault.Disable()
-	fault.Set("fd.worker", fault.Spec{Mode: fault.ModePanic, Times: 1})
-
-	rng := rand.New(rand.NewSource(13))
-	g, in := randomCyclicCase(rng, 4, 3)
-	_, err := FullDisjunctionParallel(context.Background(), g, in)
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("worker panic not converted: err = %v", err)
+// A cyclic Compute runs the lattice build, which charges each
+// association once. It must fit every budget the earlier in-memory
+// route (the subgraph algorithm, run on parallel workers from 8
+// connected subsets up) fit: parentRows is the tightest MaxRows under
+// which that route succeeded on the same seeded case, all of it
+// charged and none refunded.
+func TestBudgetCyclicComputeFitsParentRoute(t *testing.T) {
+	prev := SetCacheCapacity(0)
+	defer SetCacheCapacity(prev)
+	cases := []struct {
+		seed       int64
+		nodes      int
+		parentRows int64
+	}{
+		{1, 4, 270}, // 12 connected subsets: the parallel route
+		{2, 3, 88},  // 7 subsets: the sequential route
+		{3, 4, 327},
+		{4, 3, 124},
+		{5, 4, 303},
+		{6, 3, 102},
 	}
-	if _, ok := pe.Value.(*fault.Panic); !ok {
-		t.Errorf("recovered value %v is not the injected panic", pe.Value)
-	}
-	// The point is exhausted (Times: 1): the retry must succeed.
-	d, err := FullDisjunctionParallel(context.Background(), g, in)
-	if err != nil || d.Len() == 0 {
-		t.Fatalf("computation after contained panic failed: %v", err)
+	for _, c := range cases {
+		g, in := randomCyclicCase(rand.New(rand.NewSource(c.seed)), c.nodes, 6)
+		want, err := FullDisjunction(context.Background(), g, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := WithBudget(context.Background(), Budget{MaxRows: c.parentRows})
+		got, err := Compute(ctx, g, in)
+		if err != nil {
+			t.Errorf("seed %d: Compute under the parent's tightest budget (%d rows): %v", c.seed, c.parentRows, err)
+			continue
+		}
+		if !got.EqualSet(want) {
+			t.Errorf("seed %d: budgeted Compute differs from FullDisjunction", c.seed)
+		}
+		if rows, _ := BudgetUsed(ctx); rows > c.parentRows {
+			t.Errorf("seed %d: charged %d rows, more than the parent route's %d", c.seed, rows, c.parentRows)
+		}
 	}
 }
 

@@ -306,8 +306,8 @@ func MaintainRows(ctx context.Context, mat *Materialized, g *graph.QueryGraph, i
 				deltaEst++
 			}
 		}
-		switch pickDelta(deltaEst, rebuildEst, rowHeadroom(ctx)) {
-		case "delta":
+		switch pickMaintenance(deltaEst, rebuildEst, rowHeadroom(ctx)) {
+		case "cheap":
 			aerr := mat.ApplyRow(ctx, g, in, base, t, del)
 			if aerr == nil {
 				span.SetStr("mode", "delta")

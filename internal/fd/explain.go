@@ -76,16 +76,14 @@ func ExplainCompute(ctx context.Context, g *graph.QueryGraph, in *relation.Insta
 			res.Cache = "miss"
 		}
 	}
-	var subsets [][]string
 	if !res.IsTree {
-		subsets = g.ConnectedSubsets()
-		res.Subsets = len(subsets)
+		res.Subsets = len(g.ConnectedSubsets())
 	}
 	estimate, err := estimateRows(g, in, res.IsTree)
 	if err != nil {
 		return nil, err
 	}
-	res.Algo = pickAlgo(res.IsTree, len(subsets), estimate, rowHeadroom(ctx), budget.FromContext(ctx).SpillEnabled())
+	res.Algo = pickAlgo(res.IsTree, estimate, rowHeadroom(ctx), budget.FromContext(ctx).SpillEnabled())
 	if res.Algo == "abort" {
 		return nil, overBudget(ctx, estimate)
 	}

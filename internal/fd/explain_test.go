@@ -2,6 +2,7 @@ package fd_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,11 +129,11 @@ func ring4() (*graph.QueryGraph, *relation.Instance) {
 	return g, in
 }
 
-// TestParallelWorkerSpansShareTraceTree runs Compute on a cyclic graph
-// big enough to route to the parallel algorithm, under a root span
-// stamped with a trace ID, and asserts the retained trace contains the
-// worker-emitted subgraph spans in the same single tree.
-func TestParallelWorkerSpansShareTraceTree(t *testing.T) {
+// TestLatticeSpansShareTraceTree runs Compute on a cyclic graph,
+// which routes to the lattice build, under a root span stamped with a
+// trace ID, and asserts the retained trace holds the build's span
+// under fd.compute in the same single tree.
+func TestLatticeSpansShareTraceTree(t *testing.T) {
 	buf := obs.NewTraceBuffer(4, nil)
 	obs.SetEnabled(true)
 	obs.SetExporter(buf)
@@ -156,22 +157,10 @@ func TestParallelWorkerSpansShareTraceTree(t *testing.T) {
 		t.Fatalf("trace %s not retained; have %v", id, buf.Recent())
 	}
 	names := obs.SpanNames(tr.Root)
-	var parallel, workerSpans bool
-	for _, n := range names {
-		if strings.HasSuffix(n, "/fd.parallel") {
-			parallel = true
-		}
-		if strings.Contains(n, "/fd.parallel/") {
-			workerSpans = true
-		}
+	if !slices.Contains(names, "test.request/fd.compute/fd.materialize") {
+		t.Errorf("retained tree has no fd.materialize span under fd.compute: %v", names)
 	}
-	if !parallel {
-		t.Errorf("retained tree has no fd.parallel span: %v", names)
-	}
-	if !workerSpans {
-		t.Errorf("retained tree has no worker-emitted child spans under fd.parallel: %v", names)
-	}
-	if algo := obs.AttrMap(tr.Root.Children[0])["algo"]; algo != "subgraph_parallel" {
-		t.Errorf("algo = %v, want subgraph_parallel", algo)
+	if algo := obs.AttrMap(tr.Root.Children[0])["algo"]; algo != "lattice" {
+		t.Errorf("algo = %v, want lattice", algo)
 	}
 }

@@ -4,18 +4,24 @@
 // set of data associations a mapping query ranges over, so this is
 // the engine room of the whole system.
 //
-// Three algorithms are provided:
+// Compute routes between three algorithms:
 //
-//   - FullDisjunctionNaive: literally Definition 3.5 — cross product
-//     plus selection per subgraph. Reference implementation for tests.
-//   - FullDisjunction: joins along each connected subgraph (hash joins
-//     on the edge predicates), then one minimum union. Exact for any
-//     connected query graph; exponential in node count because the
-//     number of connected subgraphs is.
 //   - FullDisjunctionOuterJoin: a sequence of full outer joins along a
 //     BFS spanning order, plus a final subsumption sweep. The fast
 //     path for tree query graphs, which is what Clio's data walks and
 //     chases construct (benchmark E1 quantifies the gap).
+//   - the lattice build behind NewMaterialized (lattice.go): every
+//     F(J) extended by one node from a parent subset, with maximality
+//     decided from lineage. The in-memory path for cyclic graphs, and
+//     the state row-edit maintenance (MaintainRows) keeps.
+//   - FullDisjunction: joins along each connected subgraph (hash joins
+//     on the edge predicates), then one minimum union through an
+//     accumulator that can spill. The cyclic path under a spill
+//     directory. Exact for any connected query graph; exponential in
+//     node count because the number of connected subgraphs is.
+//
+// FullDisjunctionNaive is literally Definition 3.5 — cross product
+// plus selection per subgraph — and serves as the reference for tests.
 package fd
 
 import (
@@ -231,7 +237,7 @@ func edgeKey(e graph.Edge) string {
 }
 
 // FullDisjunction computes D(G) by enumerating all induced connected
-// subgraphs, computing each F(J) with hash joins, padding, and taking
+// subgraphs, streaming each F(J) through hash joins and padding into
 // one minimum union (Definition 3.11). Exact for any connected graph.
 // It honors context cancellation between subgraphs.
 func FullDisjunction(ctx context.Context, g *graph.QueryGraph, in *relation.Instance) (*relation.Relation, error) {
@@ -241,26 +247,15 @@ func FullDisjunction(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 	if !g.Connected() {
 		return nil, fmt.Errorf("fd: query graph is not connected")
 	}
-	return fullDisjunctionSubsets(ctx, g, in, g.ConnectedSubsets())
-}
-
-// fullDisjunctionSubsets is the sequential subgraph algorithm over a
-// precomputed subset enumeration (shared with Compute, which
-// enumerates once to choose between the sequential and parallel
-// variants).
-func fullDisjunctionSubsets(ctx context.Context, g *graph.QueryGraph, in *relation.Instance, subsets [][]string) (*relation.Relation, error) {
 	ctx, span := obs.StartSpan(ctx, "fd.full_disjunction")
 	defer span.End()
 	s, err := Scheme(g, in)
 	if err != nil {
 		return nil, err
 	}
+	subsets := g.ConnectedSubsets()
 	span.SetInt("subsets", int64(len(subsets)))
 	cSubsets.Add(int64(len(subsets)))
-	// The columnar pipeline serves the in-memory tier; the spill tier
-	// keeps the row pipeline, whose Grace join and frame formats are
-	// byte-identity-critical.
-	vec := !budget.FromContext(ctx).SpillEnabled()
 	sink := newDGSink(ctx, budget.FromContext(ctx), s)
 	for _, sub := range subsets {
 		if err := ctx.Err(); err != nil {
@@ -274,26 +269,14 @@ func fullDisjunctionSubsets(ctx context.Context, g *graph.QueryGraph, in *relati
 			sink.abort()
 			return nil, err
 		}
-		if vec {
-			it, err := algebra.OpenVec(ctx, plan, in)
-			if err != nil {
-				sink.abort()
-				return nil, err
-			}
-			if err := padIntoVec(it, sink, s); err != nil {
-				sink.abort()
-				return nil, err
-			}
-		} else {
-			it, err := plan.Open(ctx, in)
-			if err != nil {
-				sink.abort()
-				return nil, err
-			}
-			if err := padInto(it, sink, s); err != nil {
-				sink.abort()
-				return nil, err
-			}
+		it, err := plan.Open(ctx, in)
+		if err != nil {
+			sink.abort()
+			return nil, err
+		}
+		if err := padInto(it, sink, s); err != nil {
+			sink.abort()
+			return nil, err
 		}
 	}
 	cPadded.Add(sink.added())
@@ -511,18 +494,12 @@ func FullDisjunctionOuterJoin(ctx context.Context, g *graph.QueryGraph, in *rela
 	return out, nil
 }
 
-// ParallelSubsetThreshold is the connected-subset count above which
-// Compute routes a cyclic query graph to FullDisjunctionParallel
-// rather than the sequential subgraph algorithm. Below it the
-// goroutine fan-out costs more than the per-subgraph joins save.
-const ParallelSubsetThreshold = 8
-
-// Compute computes D(G) with the best applicable algorithm: the
-// outer-join sequence for trees, subgraph enumeration otherwise —
-// parallel across CPUs when the cyclic graph has enough connected
-// subsets to amortize the fan-out. Results are memoized in the D(G)
-// cache when one is configured (see SetCacheCapacity); a cache hit
-// does not count as an fd.compute.calls computation.
+// Compute computes D(G) with the algorithm pickAlgo chooses: the
+// outer-join sequence for trees; for cyclic graphs the lattice build,
+// or the subgraph algorithm when the budget has a spill directory.
+// Results are memoized in the D(G) cache when one is configured (see
+// SetCacheCapacity); a cache hit does not count as an
+// fd.compute.calls computation.
 func Compute(ctx context.Context, g *graph.QueryGraph, in *relation.Instance) (*relation.Relation, error) {
 	// Refuse before touching anything: computeUncached would do this
 	// check too, but a cache hit must also honor cancellation.
@@ -583,26 +560,27 @@ func computeUncached(ctx context.Context, g *graph.QueryGraph, in *relation.Inst
 	start := time.Now()
 	defer hComputeNS.ObserveSince(start)
 	isTree := g.IsTree()
-	var subsets [][]string
-	if !isTree {
-		subsets = g.ConnectedSubsets()
-	}
 	estimate, err := estimateRows(g, in, isTree)
 	if err != nil {
 		return nil, err
 	}
-	algo := pickAlgo(isTree, len(subsets), estimate, rowHeadroom(ctx), budget.FromContext(ctx).SpillEnabled())
+	algo := pickAlgo(isTree, estimate, rowHeadroom(ctx), budget.FromContext(ctx).SpillEnabled())
 	span.SetStr("algo", algo)
 	var d *relation.Relation
 	switch algo {
 	case "abort":
 		return nil, overBudget(ctx, estimate)
+	case "lattice":
+		// Rel already renders in canonical order.
+		m, err := NewMaterialized(ctx, g, in)
+		if err != nil {
+			return nil, err
+		}
+		return m.Rel(), nil
 	case "outer_join":
 		d, err = FullDisjunctionOuterJoin(ctx, g, in)
-	case "subgraph_parallel":
-		d, err = fullDisjunctionParallelSubsets(ctx, g, in, subsets)
 	default:
-		d, err = fullDisjunctionSubsets(ctx, g, in, subsets)
+		d, err = FullDisjunction(ctx, g, in)
 	}
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 
 	"clio/internal/expr"
 	"clio/internal/graph"
+	"clio/internal/obs"
 	"clio/internal/relation"
 	"clio/internal/schema"
 	"clio/internal/value"
@@ -329,6 +330,140 @@ func randomTreeCase(rng *rand.Rand, k, rows int) (*graph.QueryGraph, *relation.I
 		g.MustAddEdge(parent, names[i], expr.Equals(parent+".k", names[i]+".k"))
 	}
 	return g, in
+}
+
+// randomCyclicCase builds a random connected cyclic query graph over k
+// relations with random data: a random tree plus 1..2 extra edges.
+func randomCyclicCase(rng *rand.Rand, k, rows int) (*graph.QueryGraph, *relation.Instance) {
+	g, in := randomTreeCase(rng, k, rows)
+	// Add extra edges until the graph is cyclic; for k ≥ 3 a tree
+	// always has a missing pair, so this terminates.
+	names := g.Nodes()
+	extra := 1 + rng.Intn(2)
+	for added := 0; added < extra; {
+		a := names[rng.Intn(len(names))]
+		b := names[rng.Intn(len(names))]
+		if a == b {
+			continue
+		}
+		if _, dup := g.EdgeBetween(a, b); dup {
+			if g.IsTree() {
+				continue // keep looking for a cycle-closing edge
+			}
+			break // already cyclic; saturated pair ends the loop
+		}
+		g.MustAddEdge(a, b, expr.Equals(a+".k", b+".k"))
+		added++
+	}
+	return g, in
+}
+
+// Compute must route every in-memory cyclic graph to the lattice
+// build, whatever its subset count, keep trees on the outer-join
+// chain, and record the choice in the algo span attribute.
+func TestComputeRoutesCyclicToLattice(t *testing.T) {
+	wasEnabled := obs.Enabled()
+	obs.SetEnabled(true)
+	col := &obs.CollectExporter{}
+	obs.SetExporter(col)
+	defer func() {
+		obs.SetExporter(nil)
+		obs.SetEnabled(wasEnabled)
+	}()
+
+	algoOf := func(g *graph.QueryGraph, in *relation.Instance) string {
+		col.Reset()
+		if _, err := Compute(context.Background(), g, in); err != nil {
+			t.Fatal(err)
+		}
+		for _, root := range col.Roots() {
+			if root.Name == "fd.compute" {
+				if a, ok := obs.AttrMap(root)["algo"]; ok {
+					return a.(string)
+				}
+			}
+		}
+		t.Fatal("no fd.compute span with algo attribute exported")
+		return ""
+	}
+
+	// A 4-cycle (13 connected subsets) and a triangle (7).
+	rng := rand.New(rand.NewSource(7))
+	g, in := randomTreeCase(rng, 4, 2)
+	names := g.Nodes()
+	for i := range names {
+		a, b := names[i], names[(i+1)%len(names)]
+		if _, ok := g.EdgeBetween(a, b); !ok {
+			g.MustAddEdge(a, b, expr.Equals(a+".k", b+".k"))
+		}
+	}
+	if g.IsTree() {
+		t.Fatal("test graph is unexpectedly a tree")
+	}
+	if algo := algoOf(g, in); algo != "lattice" {
+		t.Errorf("4-cycle routed to %q, want lattice", algo)
+	}
+	tri, triIn := randomTreeCase(rng, 3, 2)
+	for _, p := range [][2]string{{"R0", "R1"}, {"R0", "R2"}, {"R1", "R2"}} {
+		if _, ok := tri.EdgeBetween(p[0], p[1]); !ok {
+			tri.MustAddEdge(p[0], p[1], expr.Equals(p[0]+".k", p[1]+".k"))
+		}
+	}
+	if tri.IsTree() {
+		t.Fatal("triangle is unexpectedly a tree")
+	}
+	if algo := algoOf(tri, triIn); algo != "lattice" {
+		t.Errorf("triangle routed to %q, want lattice", algo)
+	}
+
+	// Trees keep the outer-join fast path.
+	tg, tin := randomTreeCase(rng, 3, 2)
+	if algo := algoOf(tg, tin); algo != "outer_join" {
+		t.Errorf("tree routed to %q, want outer_join", algo)
+	}
+}
+
+// All D(G) algorithms must notice a cancelled context and return its
+// error instead of burning CPU to completion.
+func TestCancellationStopsAllAlgorithms(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	g, in := randomCyclicCase(rng, 4, 3)
+	tg, tin := randomTreeCase(rng, 4, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"FullDisjunction", func() error { _, err := FullDisjunction(ctx, g, in); return err }},
+		{"FullDisjunctionNaive", func() error { _, err := FullDisjunctionNaive(ctx, g, in); return err }},
+		{"FullDisjunctionOuterJoin", func() error { _, err := FullDisjunctionOuterJoin(ctx, tg, tin); return err }},
+		{"NewMaterialized", func() error { _, err := NewMaterialized(ctx, g, in); return err }},
+		{"Compute", func() error { _, err := Compute(ctx, g, in); return err }},
+	}
+	for _, c := range cases {
+		if err := c.run(); err != context.Canceled {
+			t.Errorf("%s: err = %v, want context.Canceled", c.name, err)
+		}
+	}
+}
+
+// Cancelling mid-flight must abort a cyclic Compute (the lattice
+// build) with the context's error or let it finish cleanly.
+func TestComputeCancellationMidFlight(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	g, in := randomCyclicCase(rng, 5, 40)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := computeUncached(ctx, g, in)
+		done <- err
+	}()
+	cancel()
+	if err := <-done; err != nil && err != context.Canceled {
+		t.Errorf("err = %v, want nil or context.Canceled", err)
+	}
 }
 
 func TestTreeAlgorithmsAgreeRandomized(t *testing.T) {

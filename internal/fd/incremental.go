@@ -172,7 +172,7 @@ func ComputeIncremental(ctx context.Context, oldDG *relation.Relation, oldGraph,
 				}
 			}
 			recomputeEst, estErr := estimateRows(newGraph, in, newGraph.IsTree())
-			if estErr == nil && pickIncremental(extendEst, recomputeEst, rowHeadroom(ctx)) == "extend" {
+			if estErr == nil && pickMaintenance(extendEst, recomputeEst, rowHeadroom(ctx)) == "cheap" {
 				d, err := ExtendLeaf(ctx, oldDG, oldGraph, newGraph, in)
 				switch {
 				case err == nil:

@@ -209,54 +209,3 @@ func lowFanoutTreeCase(k, rows int) (*graph.QueryGraph, *relation.Instance) {
 	}
 	return g, in
 }
-
-func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 15; trial++ {
-		g, in := randomTreeCase(rng, 2+rng.Intn(3), 1+rng.Intn(5))
-		seq, err := FullDisjunction(context.Background(), g, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := FullDisjunctionParallel(context.Background(), g, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seq.EqualSet(par) {
-			t.Fatalf("trial %d: parallel differs", trial)
-		}
-	}
-	// Errors mirror the sequential variant.
-	if _, err := FullDisjunctionParallel(context.Background(), graph.New(), relation.NewInstance(nil)); err == nil {
-		t.Error("empty graph should error")
-	}
-	g := graph.New()
-	g.MustAddNode("A", "A")
-	g.MustAddNode("B", "B")
-	if _, err := FullDisjunctionParallel(context.Background(), g, relation.NewInstance(nil)); err == nil {
-		t.Error("disconnected graph should error")
-	}
-	g2 := graph.New()
-	g2.MustAddNode("Nope", "Nope")
-	if _, err := FullDisjunctionParallel(context.Background(), g2, relation.NewInstance(nil)); err == nil {
-		t.Error("unknown base should error")
-	}
-}
-
-func BenchmarkFullDisjunctionParallel(b *testing.B) {
-	g, in := lowFanoutTreeCase(5, 150)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := FullDisjunction(context.Background(), g, in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := FullDisjunctionParallel(context.Background(), g, in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -4,10 +4,9 @@ package fd
 // algorithms using the remaining budget headroom as a cost bound: a
 // computation whose certain lower bound on charged rows already
 // exceeds the headroom is refused up front ("abort") with the same
-// typed error a doomed run would eventually hit, and a tight budget
-// demotes the parallel subgraph algorithm to the sequential one
-// (parallel workers charge concurrently, so a near-exhausted budget
-// buys less useful work per charged row).
+// typed error a doomed run would eventually hit. The maintenance
+// paths (leaf extension, row deltas) choose between their cheap
+// update and a full recomputation the same way.
 //
 // The estimates are true lower bounds, never heuristics: abort must
 // only fire when the computation is guaranteed to exceed the budget,
@@ -45,10 +44,10 @@ func rowHeadroom(ctx context.Context) int64 {
 // Tree graphs: the outer-join chain's output contains every row of
 // every base relation (matched or null-padded), and the final
 // alignment charges each output row, so at least max |R_n| rows are
-// charged. Cyclic graphs: the subgraph algorithms pad every full
-// association of every connected subset; the singleton subsets alone
-// charge |R_n| padded rows per node, so at least sum |R_n| rows are
-// charged.
+// charged. Cyclic graphs: the lattice build and the subgraph algorithm
+// both charge every association of every connected subset; the
+// singleton subsets alone charge |R_n| rows per node, so at least
+// sum |R_n| rows are charged.
 func estimateRows(g *graph.QueryGraph, in *relation.Instance, isTree bool) (int64, error) {
 	var max, sum int64
 	for _, name := range g.Nodes() {
@@ -81,106 +80,48 @@ func estimateRows(g *graph.QueryGraph, in *relation.Instance, isTree bool) (int6
 //     state moves to disk, and the cumulative lower bound no longer
 //     proves failure.
 //   - "outer_join": tree query graphs.
-//   - "subgraph": cyclic graphs with few connected subsets, or with a
-//     budget too tight to amortize parallel fan-out. Always the cyclic
-//     choice under spill: the parallel variant's workers charge
-//     concurrently against the resident cap and its accumulator
-//     cannot spill, so spilling runs route sequentially.
-//   - "subgraph_parallel": cyclic graphs with many subsets and enough
-//     headroom.
-func pickAlgo(isTree bool, nSubsets int, estimate, headroom int64, spill bool) string {
-	if spill {
-		if isTree {
-			return "outer_join"
-		}
-		return "subgraph"
-	}
-	if headroom >= 0 && estimate > headroom {
-		return "abort"
-	}
-	if isTree {
-		return "outer_join"
-	}
-	if nSubsets < ParallelSubsetThreshold {
-		return "subgraph"
-	}
-	if headroom >= 0 && parallelEstimate(estimate) > headroom {
-		// Demoted: re-derive the bound for the demoted (sequential)
-		// path instead of reusing the parallel-shaped one. The
-		// sequential estimate was already accepted by the abort check
-		// above (est == headroom is exactly affordable under
-		// charge-inclusive accounting), so the demotion lands on
-		// "subgraph"; the explicit re-check keeps that decision local
-		// rather than an artifact of check ordering.
-		if estimate > headroom {
-			return "abort"
-		}
-		return "subgraph"
-	}
-	return "subgraph_parallel"
-}
-
-// parallelEstimate derives the parallel subgraph algorithm's row bound
-// from the sequential one: its workers charge concurrently against the
-// shared tracker, so the bound that must fit in headroom is double the
-// sequential lower bound (two subset drains can be resident at once
-// before the accumulator collapses them).
-func parallelEstimate(sequential int64) int64 { return sequential * 2 }
-
-// pickIncremental chooses the maintenance strategy for
-// ComputeIncremental. extendEst is a lower bound on the rows
-// ExtendLeaf must charge (every old D(G) row survives the full join),
-// recomputeEst a lower bound for a full recomputation, and headroom
-// the remaining row budget (negative = unlimited).
-//
-//   - "extend": the one-join leaf extension fits the headroom.
-//   - "full": the extension is guaranteed to bust the budget but a
-//     recomputation might not — the old D(G) can exceed the base
-//     relations after a blowup.
-//   - "abort": both bounds exceed the headroom; no recomputation can
-//     succeed. (ComputeIncremental still routes this through Compute,
-//     because a D(G) cache hit charges only the final result and may
-//     answer under budget; Compute's own abort check settles a miss.)
+//   - "subgraph": cyclic graphs under a spill directory — the subgraph
+//     algorithm's accumulator can spill, the lattice build cannot.
+//   - "lattice": cyclic graphs otherwise.
 //
 // Boundary convention (audited): budget.Tracker.Charge is
 // charge-inclusive — charging exactly up to the cap succeeds and only
 // a strict excess errors — so est == headroom is exactly affordable.
-// Every comparison here and in pickAlgo is therefore strict (`>` to
-// refuse, `<=` to accept): at est == headroom the extension is taken
-// and a recomputation is never spuriously aborted. The boundary tests
-// in picker_boundary_test.go pin all three branches at equality.
-func pickIncremental(extendEst, recomputeEst, headroom int64) string {
-	if headroom < 0 || extendEst <= headroom {
-		return "extend"
+// Every comparison here and in pickMaintenance is therefore strict
+// (`>` to refuse, `<=` to accept).
+func pickAlgo(isTree bool, estimate, headroom int64, spill bool) string {
+	switch {
+	case !spill && headroom >= 0 && estimate > headroom:
+		return "abort"
+	case isTree:
+		return "outer_join"
+	case spill:
+		return "subgraph"
 	}
-	if recomputeEst > headroom {
+	return "lattice"
+}
+
+// pickMaintenance chooses how a maintained D(G) follows a change: the
+// leaf extension of ComputeIncremental or the row delta of
+// MaintainRows. cheapEst is a lower bound on the rows the cheap update
+// must charge, fullEst a lower bound for recomputing from scratch, and
+// headroom the remaining row budget (negative = unlimited).
+//
+//   - "cheap": the update fits the headroom (est == headroom is
+//     affordable, see pickAlgo).
+//   - "full": the update is guaranteed to bust the budget but a
+//     recomputation might not — the old D(G) can exceed the base
+//     relations after a blowup.
+//   - "abort": both bounds exceed the headroom; no recomputation can
+//     succeed.
+func pickMaintenance(cheapEst, fullEst, headroom int64) string {
+	if headroom < 0 || cheapEst <= headroom {
+		return "cheap"
+	}
+	if fullEst > headroom {
 		return "abort"
 	}
 	return "full"
-}
-
-// pickDelta chooses the row-edit maintenance strategy for
-// MaintainRows. deltaEst is a lower bound on the rows a delta
-// application must charge (each singleton subset over the edited base
-// emits the delta tuple once), rebuildEst a lower bound for rebuilding
-// the materialized D(G) from scratch, and headroom the remaining row
-// budget (negative = unlimited). Same charge-inclusive boundary
-// convention as pickIncremental: est == headroom is affordable.
-//
-//   - "delta": the O(delta) application fits the headroom.
-//   - "rebuild": the delta path is guaranteed to bust the budget but a
-//     rebuild might not (the delta bound can exceed the rebuild bound
-//     only in pathological shapes, but the branch keeps the routing
-//     total).
-//   - "abort": both bounds exceed the headroom.
-func pickDelta(deltaEst, rebuildEst, headroom int64) string {
-	if headroom < 0 || deltaEst <= headroom {
-		return "delta"
-	}
-	if rebuildEst > headroom {
-		return "abort"
-	}
-	return "rebuild"
 }
 
 // pickSpillReplay chooses the dgAccum finalize strategy from the

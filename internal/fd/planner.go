@@ -24,7 +24,6 @@ package fd
 
 import (
 	"context"
-	"sync"
 
 	"clio/internal/algebra"
 	"clio/internal/graph"
@@ -209,10 +208,7 @@ type PlannerBlock struct {
 }
 
 // planRecorder collects the join orders chosen during one computation.
-// Safe for concurrent use — the parallel subgraph algorithm plans
-// subsets from worker goroutines.
 type planRecorder struct {
-	mu     sync.Mutex
 	orders []PlannerOrder
 }
 
@@ -231,13 +227,11 @@ func recordPlan(ctx context.Context, subset []string, po *plannedOrder) {
 	if rec == nil {
 		return
 	}
-	rec.mu.Lock()
 	rec.orders = append(rec.orders, PlannerOrder{
 		Subset:  subset,
 		Order:   append([]string(nil), po.order...),
 		EstRows: append([]int64(nil), po.est...),
 	})
-	rec.mu.Unlock()
 }
 
 // statsBlock summarizes the instance-resident statistics for the

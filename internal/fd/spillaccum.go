@@ -1,6 +1,7 @@
 package fd
 
-// The D(G) accumulator tier. Every D(G) algorithm funnels its padded
+// The D(G) accumulator tier. The join-plan D(G) algorithms (outer-join
+// chain, subgraph enumeration, naive reference) funnel their padded
 // candidate tuples through a dgSink; which sink depends on the budget:
 //
 //   - memSink reproduces the original in-memory pipeline exactly —

@@ -106,27 +106,42 @@ func TestEngineSpanTreeEndToEnd(t *testing.T) {
 }
 
 // TestComputeSubgraphAlgoSpan checks the algorithm-decision attribute
-// on a cyclic graph, which cannot use the outer-join tree.
+// on a cyclic graph, which cannot use the outer-join tree: in memory
+// it runs the lattice build, under a spill directory the subgraph
+// algorithm.
 func TestComputeSubgraphAlgoSpan(t *testing.T) {
+	prev := fd.SetCacheCapacity(0)
+	defer fd.SetCacheCapacity(prev)
 	col := withCollector(t)
 	m := paperdb.Figure6G()
 	// Close the cycle Children—PhoneDir so Compute must fall back to
 	// subgraph enumeration.
 	m.Graph.MustAddEdge("Children", "PhoneDir", expr.Equals("Children.mid", "PhoneDir.ID"))
 
-	if _, err := fd.Compute(context.Background(), m.Graph, paperdb.Instance()); err != nil {
-		t.Fatal(err)
-	}
-	roots := col.Roots()
-	if len(roots) != 1 {
-		t.Fatalf("got %d trace roots, want 1", len(roots))
-	}
-	attrs := obs.AttrMap(roots[0])
-	if attrs["algo"] != "subgraph" {
-		t.Errorf("algo attr = %v, want subgraph", attrs["algo"])
-	}
-	names := obs.SpanNames(roots[0])
-	if !slices.Contains(names, "fd.compute/fd.full_disjunction") {
-		t.Errorf("span tree misses fd.compute/fd.full_disjunction; have %v", names)
+	for _, c := range []struct {
+		budget fd.Budget
+		algo   string
+		span   string
+	}{
+		{fd.Budget{}, "lattice", "fd.compute/fd.materialize"},
+		{fd.Budget{MaxRows: 1 << 40, SpillDir: t.TempDir()}, "subgraph", "fd.compute/fd.full_disjunction"},
+	} {
+		col.Reset()
+		ctx := fd.WithBudget(context.Background(), c.budget)
+		if _, err := fd.Compute(ctx, m.Graph, paperdb.Instance()); err != nil {
+			t.Fatal(err)
+		}
+		roots := col.Roots()
+		if len(roots) != 1 {
+			t.Fatalf("got %d trace roots, want 1", len(roots))
+		}
+		attrs := obs.AttrMap(roots[0])
+		if attrs["algo"] != c.algo {
+			t.Errorf("algo attr = %v, want %s", attrs["algo"], c.algo)
+		}
+		names := obs.SpanNames(roots[0])
+		if !slices.Contains(names, c.span) {
+			t.Errorf("span tree misses %s; have %v", c.span, names)
+		}
 	}
 }
